@@ -15,6 +15,7 @@ from .estimator import (
     CumulantBank,
     DoaEstimate,
     FoecaMeasurement,
+    SteeringGrid,
     assemble_foeca,
     rmse,
     sample_cumulants,

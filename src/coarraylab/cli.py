@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -195,6 +196,11 @@ def _fogna_for_sensors(n_sensors: int) -> geo.SensorArray:
     return geo.build_fogna(optimize(n_sensors).best_params)
 
 
+# One sweep uses one (subarray length, grid step), so each process,
+# serial or pool worker, builds the steering grid once and reuses it.
+_steering_grid = functools.lru_cache(maxsize=1)(est.SteeringGrid.build)
+
+
 def _run_doa_trial(task: Tuple) -> Dict:
     """One Monte-Carlo trial, evaluated at every sweep point.
 
@@ -204,6 +210,7 @@ def _run_doa_trial(task: Tuple) -> Dict:
     """
     (positions, truths, snr_list, k_list, seed, trial, lc, grid_step, sub_len,
      min_sep, coupled) = task
+    steering = _steering_grid(sub_len, grid_step)
     array = geo.SensorArray(tuple(positions))
     rng = np.random.default_rng([seed, trial])
     d = len(truths)
@@ -220,8 +227,8 @@ def _run_doa_trial(task: Tuple) -> Dict:
             x = a @ sources[:, :k] + sigma * unit_noise[:, :k]
             bank = est.sample_cumulants(x)
             meas = est.assemble_foeca(bank, array, lc=lc)
-            estimate = est.ss_music(meas, d, grid_step_deg=grid_step,
-                                    subarray_len=sub_len, min_peak_sep_deg=min_sep)
+            estimate = est.ss_music(meas, d, grid_step_deg=grid_step, subarray_len=sub_len,
+                                    min_peak_sep_deg=min_sep, steering=steering)
             errors = est.match_nearest(estimate.angles_deg, truths)
             out.append({
                 "snr_db": snr_db,
@@ -239,9 +246,10 @@ def _run_doa_trial(task: Tuple) -> Dict:
 def _run_trials(args, positions, truths, snr_list, k_list) -> List[Dict]:
     array = geo.SensorArray(tuple(positions))
     lc = ca.analyze_segment(ca.foeca(array)).lc
+    sub_len = est.subarray_length(lc, len(truths), args.subarray_len)
     tasks = [
         (tuple(positions), tuple(truths), tuple(snr_list), tuple(k_list), args.seed,
-         trial, lc, args.grid_step, args.subarray_len, args.min_peak_sep, args.coupling)
+         trial, lc, args.grid_step, sub_len, args.min_peak_sep, args.coupling)
         for trial in range(args.trials)
     ]
     if args.jobs > 1:
@@ -255,8 +263,24 @@ def _run_trials(args, positions, truths, snr_list, k_list) -> List[Dict]:
     return records
 
 
+def _check_sweep(args, truths: Sequence[float], snr_list: Sequence[float]) -> None:
+    """Reject settings that would run but give meaningless or no rows."""
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+    try:
+        sim.SourceScene(tuple(truths))
+    except ValueError as exc:
+        raise ValueError(f"truth angles {list(truths)}: {exc}") from None
+    for snr_db in snr_list:
+        if math.isnan(snr_db) or snr_db == -math.inf:
+            raise ValueError(f"SNR must be a number of dB or inf, got {snr_db}")
+
+
 def cmd_resolve(args) -> int:
     truths = sorted(_parse_floats(args.angles))
+    _check_sweep(args, truths, [args.snr])
     array = _fogna_for_sensors(args.n_sensors)
     print(f"array positions: {list(array.positions)}")
     print(f"seed: {args.seed}")
@@ -287,6 +311,7 @@ def cmd_rmse(args) -> int:
         truths = sorted(_parse_floats(args.angles))
     else:
         truths = list(np.linspace(-60.0, 60.0, args.n_sources))
+    _check_sweep(args, truths, snr_list)
     array = _fogna_for_sensors(args.n_sensors)
     print(f"array positions: {list(array.positions)}")
     print(f"seed: {args.seed}")

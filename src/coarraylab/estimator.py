@@ -24,8 +24,11 @@ __all__ = [
     "CumulantBank",
     "FoecaMeasurement",
     "DoaEstimate",
+    "SteeringGrid",
     "sample_cumulants",
     "assemble_foeca",
+    "subarray_length",
+    "smoothed_covariance",
     "ss_music",
     "match_nearest",
     "rmse",
@@ -179,44 +182,104 @@ def _pick_peaks(grid: np.ndarray, spec: np.ndarray, n_sources: int, min_sep_cell
     return refined
 
 
+@dataclass(frozen=True, eq=False)
+class SteeringGrid:
+    """Scan grid and virtual-ULA steering matrix for one (length, step) pair.
+
+    ``steering[m, g]`` is exp(j*pi*m*sin(grid_deg[g])) for m < ``sub``.
+    Both arrays are read-only, so one grid can be shared by every
+    estimate with the same subarray length and grid step.
+    """
+
+    step_deg: float
+    grid_deg: np.ndarray
+    steering: np.ndarray
+
+    @property
+    def sub(self) -> int:
+        return self.steering.shape[0]
+
+    @classmethod
+    def build(cls, sub: int, grid_step_deg: float) -> "SteeringGrid":
+        if sub < 1:
+            raise ValueError(f"subarray length must be positive, got {sub}")
+        if not grid_step_deg > 0:
+            raise ValueError(f"grid step must be positive, got {grid_step_deg}")
+        grid = np.arange(-90.0 + grid_step_deg, 90.0, grid_step_deg)
+        steering = np.exp(1j * np.pi * np.arange(sub)[:, None] * np.sin(np.deg2rad(grid))[None, :])
+        grid.flags.writeable = False
+        steering.flags.writeable = False
+        return cls(float(grid_step_deg), grid, steering)
+
+
+def subarray_length(lc: int, n_sources: int, subarray_len: Optional[int] = None) -> int:
+    """The smoothing subarray length: ``subarray_len``, default Lc+1, checked.
+
+    The source count may not exceed the capacity Lc; the length must
+    exceed the source count and fit in the 2Lc+1 virtual ULA.
+    """
+    if n_sources > lc:
+        raise ValueError(f"{n_sources} sources exceed the capacity Lc = {lc}")
+    sub = lc + 1 if subarray_len is None else int(subarray_len)
+    if not (n_sources < sub <= 2 * lc + 1):
+        raise ValueError(f"subarray length must lie in ({n_sources}, {2 * lc + 1}], got {sub}")
+    return sub
+
+
+def smoothed_covariance(values: np.ndarray, sub: int) -> np.ndarray:
+    """Mean outer product of the length-``sub`` windows of ``values``.
+
+    The windows are the rows of a Hankel view, so the mean is one Gram
+    product: no (windows x sub x sub) temporary is formed.
+    """
+    windows = np.lib.stride_tricks.sliding_window_view(values, sub)
+    return windows.T @ windows.conj() / windows.shape[0]
+
+
 def ss_music(
     meas: FoecaMeasurement,
     n_sources: int,
     grid_step_deg: float = 0.05,
     subarray_len: Optional[int] = None,
     min_peak_sep_deg: float = 0.5,
+    *,
+    steering: Optional[SteeringGrid] = None,
 ) -> DoaEstimate:
     """Spatial-smoothing MUSIC over the virtual-ULA measurement.
 
     The length-(2Lc+1) measurement is cut into overlapping subvectors of
     length ``subarray_len`` (default Lc+1, the maximum, which fixes the
-    resolvable-source capacity at Lc); their outer products are averaged
-    into a smoothed covariance whose noise subspace drives the MUSIC
-    pseudo-spectrum.  Returns the ``n_sources`` largest well-separated
-    spectrum peaks, parabolic-refined off the grid.
+    resolvable-source capacity at Lc); the mean of their outer products
+    is the smoothed covariance whose noise subspace drives the MUSIC
+    pseudo-spectrum.  That mean is one Gram product of the window
+    (Hankel) matrix, so memory stays O(L^2 + L*G) for G grid points.
+    Returns the ``n_sources`` largest well-separated spectrum peaks,
+    parabolic-refined off the grid.
+
+    ``steering`` is a prebuilt grid for this subarray length and grid
+    step, for callers that estimate many times with one setting; by
+    default one is built per call.
     """
     lc = meas.lc
     if n_sources < 1:
         raise ValueError("need at least one source")
-    if n_sources > lc:
-        raise ValueError(f"{n_sources} sources exceed the capacity Lc = {lc}")
-    if grid_step_deg <= 0:
-        raise ValueError("grid step must be positive")
-    sub = lc + 1 if subarray_len is None else int(subarray_len)
-    if not (n_sources < sub <= 2 * lc + 1):
-        raise ValueError(f"subarray length must lie in ({n_sources}, {2 * lc + 1}], got {sub}")
-    windows = np.lib.stride_tricks.sliding_window_view(meas.values, sub)
-    r = (windows[:, :, None] * windows.conj()[:, None, :]).mean(axis=0)
-    eigvals, eigvecs = np.linalg.eigh(r)
+    sub = subarray_length(lc, n_sources, subarray_len)
+    if steering is None:
+        steering = SteeringGrid.build(sub, grid_step_deg)
+    elif steering.sub != sub or steering.step_deg != grid_step_deg:
+        raise ValueError(
+            f"prebuilt steering grid is for length {steering.sub} and step "
+            f"{steering.step_deg}, not {sub} and {grid_step_deg}"
+        )
+    eigvals, eigvecs = np.linalg.eigh(smoothed_covariance(meas.values, sub))
     rank = int(np.sum(eigvals > max(1e-12 * eigvals[-1], 0.0)))
     noise = eigvecs[:, : sub - n_sources]
-    grid = np.arange(-90.0 + grid_step_deg, 90.0, grid_step_deg)
-    steering = np.exp(1j * np.pi * np.arange(sub)[:, None] * np.sin(np.deg2rad(grid))[None, :])
-    denom = np.sum(np.abs(noise.conj().T @ steering) ** 2, axis=0)
+    denom = np.sum(np.abs(noise.conj().T @ steering.steering) ** 2, axis=0)
     spec = 1.0 / np.maximum(denom, 1e-300)
     min_sep_cells = max(1, int(round(min_peak_sep_deg / grid_step_deg)))
-    peaks = _pick_peaks(grid, spec, n_sources, min_sep_cells)
-    return DoaEstimate(np.sort(np.asarray(peaks)), grid, spec, rank_ok=rank >= n_sources)
+    peaks = _pick_peaks(steering.grid_deg, spec, n_sources, min_sep_cells)
+    return DoaEstimate(np.sort(np.asarray(peaks)), steering.grid_deg, spec,
+                       rank_ok=rank >= n_sources)
 
 
 def match_nearest(estimates: Sequence[float], truths: Sequence[float]) -> np.ndarray:

@@ -91,8 +91,12 @@ class FognaParams:
     """Derived design parameters of a FOGNA split (N1, N2, N3).
 
     M1/M2 are the CNA block sizes, E1/E2 the apertures of subarray 1 and
-    of subarray 1+2's virtual extension.  ``from_split`` derives them;
-    constructing directly bypasses no validation, so prefer the factory.
+    of subarray 1+2's virtual extension.  ``from_split`` derives them and
+    checks the split; direct construction skips every one of those
+    checks, and ``build_fogna`` uses ``e1``/``e2`` as given, even when
+    they disagree with the CNA block (M1, M2).  That is how a spacing
+    other than the derived one is built on purpose (E1 = 17 for the
+    19-sensor split); prefer the factory otherwise.
     """
 
     n1: int

@@ -56,7 +56,7 @@ class SourceScene:
             raise ValueError("scene needs at least one source")
         if len(set(angles)) != len(angles):
             raise ValueError("source angles must be distinct")
-        if any(abs(a) >= 90.0 for a in angles):
+        if not all(abs(a) < 90.0 for a in angles):
             raise ValueError("source angles must lie in (-90, 90) degrees")
         if self.power <= 0:
             raise ValueError("source power must be positive")

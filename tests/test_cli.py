@@ -154,6 +154,52 @@ class TestExperiments:
                (tmp_path / "par" / "rmse_trials.jsonl").read_bytes()
 
 
+class TestSweepValidation:
+    RMSE = ["rmse", "--n-sensors", "7", "--n-sources", "2", "--angles=-20,20",
+            "--snr-list", "5", "--snapshots-list", "1500", "--trials", "1", "--seed", "7"]
+    RESOLVE = ["resolve", "--n-sensors", "7", "--angles=-10,10", "--snr", "10",
+               "--snapshots", "1500", "--trials", "1", "--seed", "7"]
+
+    @pytest.mark.parametrize("base", [RMSE, RESOLVE], ids=["rmse", "resolve"])
+    @pytest.mark.parametrize("flags, message", [
+        (["--trials", "0"], "--trials"),
+        (["--jobs", "0"], "--jobs"),
+        (["--angles=10,10"], "distinct"),
+        (["--angles=-20,95"], "(-90, 90)"),
+        (["--angles=nan,20"], "(-90, 90)"),
+    ])
+    def test_rejected_before_any_trial(self, capsys, tmp_path, base, flags, message):
+        code, out, err = run(capsys, *base, *flags, "--out-dir", str(tmp_path))
+        assert code == 2
+        assert err.startswith("error: ") and message in err
+        assert out == "" and list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flags", [
+        ["rmse", "--snr-list=5,nan"], ["rmse", "--snr-list=-inf"], ["resolve", "--snr=nan"],
+    ])
+    def test_snr_must_be_a_number(self, capsys, tmp_path, flags):
+        base = self.RMSE if flags[0] == "rmse" else self.RESOLVE
+        code, out, err = run(capsys, *base, *flags[1:], "--out-dir", str(tmp_path))
+        assert code == 2
+        assert err.startswith("error: SNR")
+        assert out == ""
+
+    @pytest.mark.parametrize("sub_len", ["2", "178"])
+    def test_subarray_length_checked_before_trials(self, capsys, tmp_path, sub_len):
+        # the bound 2*Lc+1 = 177 needs the array, so positions are printed first
+        code, _, err = run(capsys, *self.RMSE, "--subarray-len", sub_len,
+                           "--out-dir", str(tmp_path))
+        assert code == 2
+        assert err.startswith("error: subarray length must lie in (2, 177]")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_rmse_needs_a_source(self, capsys, tmp_path):
+        code, _, err = run(capsys, *self.RMSE[:5], "--n-sources", "0", "--snr-list", "5",
+                           "--trials", "1", "--seed", "7", "--out-dir", str(tmp_path))
+        assert code == 2
+        assert "at least one source" in err
+
+
 class TestConfig:
     def test_config_supplies_and_flags_override(self, capsys, tmp_path):
         cfg = tmp_path / "exp.cfg"

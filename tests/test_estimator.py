@@ -6,18 +6,22 @@ loop-and-pairings oracle, and the full pipeline against both analytic
 """
 
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
 import pytest
 
+from coarraylab import estimator
 from coarraylab.coarray import analyze_segment, case_virtual_positions, foeca
 from coarraylab.estimator import (
     CumulantBank,
+    SteeringGrid,
     assemble_foeca,
     match_nearest,
     rmse,
     sample_cumulants,
+    smoothed_covariance,
     ss_music,
 )
 from coarraylab.geometry import SensorArray, build_fogna, build_ula
@@ -58,6 +62,25 @@ def analytic_bank(array, angles_deg, power=1.0):
             tensor += -2 * power**2 * np.exp(1j * np.pi * v * math.sin(math.radians(theta)))
         cases.append(tensor)
     return CumulantBank(cases[0], cases[1], cases[2], n_snapshots=0)
+
+
+def outer_product_covariance(values, sub):
+    """Literal spatial smoothing: the mean of the windows' outer products.
+
+    It forms a (windows x sub x sub) temporary, so it is kept only as the
+    reference for the Gram-product covariance.
+    """
+    windows = np.lib.stride_tricks.sliding_window_view(values, sub)
+    return (windows[:, :, None] * windows.conj()[:, None, :]).mean(axis=0)
+
+
+def fogna_measurement(n_sensors, truths, snr_db, n_snapshots, seed):
+    arr = build_fogna(optimize(n_sensors).best_params)
+    snap = simulate(arr, SourceScene(truths, seed=seed), snr_db, n_snapshots)
+    return assemble_foeca(sample_cumulants(snap), arr)
+
+
+TWELVE_SOURCES = tuple(np.linspace(-60.0, 60.0, 12))
 
 
 class TestSampleCumulants:
@@ -212,3 +235,77 @@ class TestRmse:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             rmse([([1.0], [1.0, 2.0])])
+
+
+class TestSmoothedCovariance:
+    @pytest.mark.parametrize("sub", [None, 79])
+    def test_matches_outer_product_oracle(self, sub):
+        meas = fogna_measurement(7, (-30.0, 30.0), 10.0, 10_000, seed=21)
+        sub = meas.lc + 1 if sub is None else sub
+        r = smoothed_covariance(meas.values, sub)
+        assert r.shape == (sub, sub)
+        assert np.allclose(r, outer_product_covariance(meas.values, sub), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("n_sensors, truths, snr_db, n_snapshots, grid_step, sub", [
+        (9, TWELVE_SOURCES, 5.0, 14_000, 0.02, None),
+        (7, (-30.0, 30.0), 10.0, 10_000, 0.05, 79),
+        (7, (-0.8, 0.8), 0.0, 10_000, 0.05, None),
+        (7, (-40.0, -5.0, 20.0, 55.0), 0.0, 6_000, 0.05, 60),
+    ])
+    def test_angles_match_oracle_path(self, monkeypatch, n_sensors, truths, snr_db,
+                                      n_snapshots, grid_step, sub):
+        meas = fogna_measurement(n_sensors, truths, snr_db, n_snapshots, seed=1000)
+        est = ss_music(meas, len(truths), grid_step_deg=grid_step, subarray_len=sub)
+        monkeypatch.setattr(estimator, "smoothed_covariance", outer_product_covariance)
+        ref = ss_music(meas, len(truths), grid_step_deg=grid_step, subarray_len=sub)
+        assert np.array_equal(np.round(est.angles_deg, 6), np.round(ref.angles_deg, 6))
+        assert est.rank_ok and ref.rank_ok
+
+    def test_nineteen_sensor_design_in_bounded_memory(self):
+        # L = 2186: the outer-product mean would need a 2187^3 complex
+        # temporary (167 GB); the Gram product keeps ss_music near 0.5 GB
+        meas = fogna_measurement(19, TWELVE_SOURCES, 5.0, 14_000, seed=19)
+        assert meas.lc == 2186
+        tracemalloc.start()
+        try:
+            est = ss_music(meas, 12, grid_step_deg=0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est.rank_ok
+        assert np.max(np.abs(est.angles_deg - np.asarray(TWELVE_SOURCES))) < 0.1
+        assert peak < 1e9, f"ss_music peaked at {peak / 1e6:.0f} MB"
+
+
+class TestSteeringGrid:
+    def test_arrays_are_read_only(self):
+        grid = SteeringGrid.build(10, 0.5)
+        assert grid.sub == 10
+        assert grid.steering.shape == (10, grid.grid_deg.size)
+        for arr in (grid.grid_deg, grid.steering):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+    def test_prebuilt_grid_gives_identical_estimate(self):
+        arr = SensorArray((0, 1, 2, 5, 8))
+        meas = assemble_foeca(analytic_bank(arr, [-12.0, 10.0]), arr)
+        grid = SteeringGrid.build(meas.lc + 1, 0.05)
+        built = ss_music(meas, 2, grid_step_deg=0.05)
+        shared = ss_music(meas, 2, grid_step_deg=0.05, steering=grid)
+        assert np.array_equal(built.angles_deg, shared.angles_deg)
+        assert np.array_equal(built.spectrum, shared.spectrum)
+        assert shared.grid_deg is grid.grid_deg
+
+    @pytest.mark.parametrize("sub, step", [(26, 0.05), (25, 0.02)])
+    def test_mismatched_grid_is_rejected(self, sub, step):
+        arr = SensorArray((0, 1, 2, 5, 8))
+        meas = assemble_foeca(analytic_bank(arr, [10.0]), arr)
+        assert meas.lc + 1 == 25
+        with pytest.raises(ValueError, match="prebuilt steering grid"):
+            ss_music(meas, 1, grid_step_deg=0.05, steering=SteeringGrid.build(sub, step))
+
+    @pytest.mark.parametrize("sub, step", [(0, 0.05), (5, 0.0), (5, -0.1), (5, math.nan)])
+    def test_build_rejects_bad_arguments(self, sub, step):
+        with pytest.raises(ValueError):
+            SteeringGrid.build(sub, step)
