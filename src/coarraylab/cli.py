@@ -20,7 +20,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -201,66 +201,51 @@ def _fogna_for_sensors(n_sensors: int) -> geo.SensorArray:
 _steering_grid = functools.lru_cache(maxsize=1)(est.SteeringGrid.build)
 
 
-def _run_doa_trial(task: Tuple) -> Dict:
+def _run_doa_trial(trial: int, *, array, truths, snr_list, k_list, seed, lc, grid_step,
+                   sub_len, min_sep, coupling) -> List[Dict]:
     """One Monte-Carlo trial, evaluated at every sweep point.
 
-    All sweep points of a trial share the same source/noise draws (taken
-    at the largest snapshot count, noise at unit variance and scaled per
-    SNR), so sweeps are compared on common random numbers.
+    ``simulate_sweep`` draws the trial's sources and noise once from the
+    seed (seed, trial), so sweep points are compared on common random
+    numbers.
     """
-    (positions, truths, snr_list, k_list, seed, trial, lc, grid_step, sub_len,
-     min_sep, coupled) = task
     steering = _steering_grid(sub_len, grid_step)
-    array = geo.SensorArray(tuple(positions))
-    rng = np.random.default_rng([seed, trial])
-    d = len(truths)
-    k_max = max(k_list)
-    a = sim.manifold(array, truths)
-    if coupled:
-        a = cp.coupling_matrix(array) @ a
-    sources = rng.choice([-1.0, 1.0], size=(d, k_max))
-    unit_noise = sim.complex_gaussian_sampler(rng, (array.n_sensors, k_max))
-    out = []
-    for snr_db in snr_list:
-        sigma = math.sqrt(10.0 ** (-snr_db / 10.0))
-        for k in k_list:
-            x = a @ sources[:, :k] + sigma * unit_noise[:, :k]
-            bank = est.sample_cumulants(x)
-            meas = est.assemble_foeca(bank, array, lc=lc)
-            estimate = est.ss_music(meas, d, grid_step_deg=grid_step, subarray_len=sub_len,
-                                    min_peak_sep_deg=min_sep, steering=steering)
-            errors = est.match_nearest(estimate.angles_deg, truths)
-            out.append({
-                "snr_db": snr_db,
-                "n_snapshots": k,
-                "trial": trial,
-                "seed": seed,
-                "truths": list(truths),
-                "estimates": [round(float(v), 6) for v in estimate.angles_deg],
-                "errors": [round(float(v), 6) for v in errors],
-                "rmse": round(float(np.sqrt(np.mean(errors ** 2))), 6),
-            })
-    return {"trial": trial, "records": out}
+    scene = sim.SourceScene(truths, seed=(seed, trial))
+    records = []
+    for snap in sim.simulate_sweep(array, scene, snr_list, k_list, coupling):
+        meas = est.assemble_foeca(est.sample_cumulants(snap), array, lc=lc)
+        estimate = est.ss_music(meas, scene.n_sources, grid_step_deg=grid_step,
+                                subarray_len=sub_len, min_peak_sep_deg=min_sep,
+                                steering=steering)
+        errors = est.match_nearest(estimate.angles_deg, truths)
+        records.append({
+            "snr_db": snap.snr_db,
+            "n_snapshots": snap.n_snapshots,
+            "trial": trial,
+            "seed": seed,
+            "truths": list(truths),
+            "estimates": [round(float(v), 6) for v in estimate.angles_deg],
+            "errors": [round(float(v), 6) for v in errors],
+            "rmse": round(float(np.sqrt(np.mean(errors ** 2))), 6),
+        })
+    return records
 
 
-def _run_trials(args, positions, truths, snr_list, k_list) -> List[Dict]:
-    array = geo.SensorArray(tuple(positions))
+def _run_trials(args, array, truths, snr_list, k_list) -> List[Dict]:
     lc = ca.analyze_segment(ca.foeca(array)).lc
-    sub_len = est.subarray_length(lc, len(truths), args.subarray_len)
-    tasks = [
-        (tuple(positions), tuple(truths), tuple(snr_list), tuple(k_list), args.seed,
-         trial, lc, args.grid_step, sub_len, args.min_peak_sep, args.coupling)
-        for trial in range(args.trials)
-    ]
+    run_trial = functools.partial(
+        _run_doa_trial, array=array, truths=truths, snr_list=snr_list, k_list=k_list,
+        seed=args.seed, lc=lc, grid_step=args.grid_step,
+        sub_len=est.subarray_length(lc, len(truths), args.subarray_len),
+        min_sep=args.min_peak_sep,
+        coupling=cp.coupling_matrix(array) if args.coupling else None,
+    )
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_run_doa_trial, tasks))
+            per_trial = list(pool.map(run_trial, range(args.trials)))
     else:
-        results = [_run_doa_trial(t) for t in tasks]
-    records = []
-    for res in sorted(results, key=lambda r: r["trial"]):
-        records.extend(res["records"])
-    return records
+        per_trial = [run_trial(trial) for trial in range(args.trials)]
+    return [rec for records in per_trial for rec in records]
 
 
 def _check_sweep(args, truths: Sequence[float], snr_list: Sequence[float]) -> None:
@@ -284,7 +269,7 @@ def cmd_resolve(args) -> int:
     array = _fogna_for_sensors(args.n_sensors)
     print(f"array positions: {list(array.positions)}")
     print(f"seed: {args.seed}")
-    records = _run_trials(args, array.positions, truths, [args.snr], [args.snapshots])
+    records = _run_trials(args, array, truths, [args.snr], [args.snapshots])
     out_dir = _out_dir(args)
     jsonl = os.path.join(out_dir, "resolve_trials.jsonl")
     with open(jsonl, "w", encoding="utf-8") as fh:
@@ -315,7 +300,7 @@ def cmd_rmse(args) -> int:
     array = _fogna_for_sensors(args.n_sensors)
     print(f"array positions: {list(array.positions)}")
     print(f"seed: {args.seed}")
-    records = _run_trials(args, array.positions, truths, snr_list, k_list)
+    records = _run_trials(args, array, truths, snr_list, k_list)
     out_dir = _out_dir(args)
     jsonl = os.path.join(out_dir, "rmse_trials.jsonl")
     with open(jsonl, "w", encoding="utf-8") as fh:

@@ -16,9 +16,8 @@ multiset-sum (3*N^4 entries in total).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from itertools import product
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, Mapping, Set, Tuple
 
 import numpy as np
 
@@ -48,16 +47,10 @@ def _positions(source) -> Tuple[int, ...]:
 
 @dataclass(frozen=True)
 class LagMultiset:
-    """Multiset of integer lags: lag -> multiplicity over ordered tuples.
-
-    ``generators`` optionally maps each lag to the list of contributing
-    sensor-index tuples; it is only populated on request since the
-    fourth-order constructions carry N^4 tuples per case.
-    """
+    """Multiset of integer lags: lag -> multiplicity over ordered tuples."""
 
     entries: Mapping[int, int]
     case_tag: str
-    generators: Optional[Mapping[int, List[Tuple[int, ...]]]] = None
 
     def __contains__(self, lag: int) -> bool:
         return lag in self.entries
@@ -158,40 +151,24 @@ def case_virtual_positions(source, case: int) -> np.ndarray:
     ).ravel()
 
 
-def _generators_for(source, case: int) -> Dict[int, List[Tuple[int, ...]]]:
-    p = _positions(source)
-    signs = CASE_SIGNS[case]
-    gens: Dict[int, List[Tuple[int, ...]]] = {}
-    for quad in product(range(len(p)), repeat=4):
-        lag = sum(s * p[i] for s, i in zip(signs, quad))
-        gens.setdefault(lag, []).append(quad)
-    return gens
-
-
-def foca(source, case: int, with_generators: bool = False) -> LagMultiset:
+def foca(source, case: int) -> LagMultiset:
     """Fourth-order co-array for one conjugation case (multiset over N^4 quadruples)."""
     lags = case_virtual_positions(source, case)
     values, counts = np.unique(lags, return_counts=True)
-    gens = _generators_for(source, case) if with_generators else None
-    return LagMultiset(dict(zip(values.tolist(), counts.tolist())), f"FOCA{case}", gens)
+    return LagMultiset(dict(zip(values.tolist(), counts.tolist())), f"FOCA{case}")
 
 
-def foeca(source, with_generators: bool = False) -> LagMultiset:
+def foeca(source) -> LagMultiset:
     """Fourth-order extended co-array: multiset-sum of the three cases.
 
     Multiplicity of each lag is the sum across cases; the total entry
     count is 3*N^4 for an N-sensor array.
     """
     entries: Dict[int, int] = {}
-    gens: Optional[Dict[int, List[Tuple[int, ...]]]] = {} if with_generators else None
     for case in (1, 2, 3):
-        part = foca(source, case, with_generators=with_generators)
-        for lag, mult in part.entries.items():
+        for lag, mult in foca(source, case).entries.items():
             entries[lag] = entries.get(lag, 0) + mult
-        if with_generators:
-            for lag, tuples in part.generators.items():
-                gens.setdefault(lag, []).extend((case,) + t for t in tuples)
-    return LagMultiset(entries, "FOECA", gens)
+    return LagMultiset(entries, "FOECA")
 
 
 def analyze_segment(lags) -> SegmentReport:

@@ -37,16 +37,15 @@ __all__ = [
 
 @dataclass
 class CumulantBank:
-    """Sample fourth-order cumulant tensors, one N^4 tensor per case.
+    """Sample fourth-order cumulant tensors of cases 1 and 2 (N^4 each).
 
     Case 3 is the elementwise conjugate of case 1 (its conjugation
     pattern conjugates every case-1 argument), which holds exactly at
-    the sample level and is exploited rather than recomputed.
+    the sample level, so ``case(3)`` derives it instead of storing it.
     """
 
     case1: np.ndarray
     case2: np.ndarray
-    case3: np.ndarray
     n_snapshots: int
 
     @property
@@ -54,7 +53,9 @@ class CumulantBank:
         return self.case1.shape[0]
 
     def case(self, j: int) -> np.ndarray:
-        return {1: self.case1, 2: self.case2, 3: self.case3}[j]
+        if j == 3:
+            return self.case1.conj()
+        return {1: self.case1, 2: self.case2}[j]
 
 
 def sample_cumulants(snapshots) -> CumulantBank:
@@ -96,7 +97,7 @@ def sample_cumulants(snapshots) -> CumulantBank:
         - ra[:, None, :, None] * ra.conj()[None, :, None, :]
         - rb[:, None, None, :] * rb.T[None, :, :, None]
     )
-    return CumulantBank(c1, c2, c1.conj(), k)
+    return CumulantBank(c1, c2, k)
 
 
 @dataclass
@@ -115,9 +116,6 @@ class FoecaMeasurement:
     @property
     def lc(self) -> int:
         return int(self.lags[-1])
-
-    def value_at(self, lag: int) -> complex:
-        return complex(self.values[lag + self.lc])
 
 
 def assemble_foeca(bank: CumulantBank, array: SensorArray, lc: Optional[int] = None) -> FoecaMeasurement:

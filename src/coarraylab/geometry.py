@@ -48,14 +48,12 @@ def round_nearest(x: float) -> int:
 
 @dataclass(frozen=True)
 class SensorArray:
-    """Integer sensor positions (units of d) plus design metadata.
+    """Integer sensor positions (units of d = lambda/2) plus design metadata.
 
     Parameters
     ----------
     positions : tuple of int
         Strictly increasing, non-negative, first element 0.
-    unit_spacing_d : float
-        Physical base spacing in wavelengths; informational only.
     split : tuple (N1, N2, N3), optional
         Subarray sensor counts when the array is a FOGNA.
     cna_params : tuple (M1, M2), optional
@@ -63,7 +61,6 @@ class SensorArray:
     """
 
     positions: Tuple[int, ...]
-    unit_spacing_d: float = 0.5
     split: Optional[Tuple[int, int, int]] = None
     cna_params: Optional[Tuple[int, int]] = None
 
@@ -131,11 +128,11 @@ class FognaParams:
         return 2 * (2 * self.n3 + 1) * (2 * self.e1 + self.n2 * (2 * self.e1 + 1)) + 1
 
 
-def build_ula(n: int, unit_spacing_d: float = 0.5) -> SensorArray:
+def build_ula(n: int) -> SensorArray:
     """Uniform linear array with n sensors at 0..n-1."""
     if n < 1:
         raise ValueError(f"sensor count must be positive, got {n}")
-    return SensorArray(tuple(range(n)), unit_spacing_d)
+    return SensorArray(tuple(range(n)))
 
 
 def _cna_positions(m1: int, m2: int) -> Tuple[int, ...]:
@@ -148,7 +145,7 @@ def _cna_positions(m1: int, m2: int) -> Tuple[int, ...]:
     return tuple(sorted(set(left) | set(middle) | set(right)))
 
 
-def build_cna(m1: int, m2: int, unit_spacing_d: float = 0.5) -> SensorArray:
+def build_cna(m1: int, m2: int) -> SensorArray:
     """Concatenated nested array with spacing pattern 1^M1, (M1+1)^(M2-1), 1^M1.
 
     Contains 2*M1 + M2 sensors with aperture 2*M1 + (M1+1)*(M2-1); its
@@ -156,19 +153,19 @@ def build_cna(m1: int, m2: int, unit_spacing_d: float = 0.5) -> SensorArray:
     """
     if m1 < 1 or m2 < 1:
         raise ValueError(f"CNA block sizes must be positive, got ({m1}, {m2})")
-    return SensorArray(_cna_positions(m1, m2), unit_spacing_d, cna_params=(m1, m2))
+    return SensorArray(_cna_positions(m1, m2), cna_params=(m1, m2))
 
 
-def build_nested(n1: int, n2: int, unit_spacing_d: float = 0.5) -> SensorArray:
+def build_nested(n1: int, n2: int) -> SensorArray:
     """Two-level nested array: {0..n1-1} plus {k*(n1+1)-1 : k=1..n2}."""
     if n1 < 1 or n2 < 1:
         raise ValueError(f"level sizes must be positive, got ({n1}, {n2})")
     dense = set(range(n1))
     sparse = {k * (n1 + 1) - 1 for k in range(1, n2 + 1)}
-    return SensorArray(tuple(sorted(dense | sparse)), unit_spacing_d)
+    return SensorArray(tuple(sorted(dense | sparse)))
 
 
-def build_fogna(params, unit_spacing_d: float = 0.5) -> SensorArray:
+def build_fogna(params) -> SensorArray:
     """Build the three-subarray FOGNA geometry from a split or FognaParams.
 
     Subarray 1 is a CNA (M1, M2) at the origin; subarray 2 is a ULA of
@@ -190,12 +187,8 @@ def build_fogna(params, unit_spacing_d: float = 0.5) -> SensorArray:
     positions = tuple(sorted(s1 | s2 | s3))
     if len(positions) != params.n:
         raise AssertionError("FOGNA sensor count mismatch")
-    return SensorArray(
-        positions,
-        unit_spacing_d,
-        split=(params.n1, params.n2, params.n3),
-        cna_params=(params.m1, params.m2),
-    )
+    return SensorArray(positions, split=(params.n1, params.n2, params.n3),
+                       cna_params=(params.m1, params.m2))
 
 
 FAMILIES = ("FL_NA", "SE_FL_NA", "FO_FRACTAL_NA", "SD_FODC_NA", "FOGNA")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -24,6 +24,7 @@ __all__ = [
     "steering_vector",
     "manifold",
     "simulate",
+    "simulate_sweep",
     "complex_gaussian_sampler",
     "save_snapshots",
     "load_snapshots",
@@ -39,6 +40,9 @@ def complex_gaussian_sampler(rng: np.random.Generator, shape: Tuple[int, ...]) -
 class SourceScene:
     """Source angles, constellation, per-source power and RNG seed.
 
+    ``seed`` is anything ``np.random.default_rng`` takes: an int, or a
+    tuple such as (sweep seed, trial index) for one trial of a sweep.
+
     ``kind`` is "bpsk" or "custom"; a custom scene supplies ``sampler``,
     a callable (rng, shape) -> unit-power samples which are scaled by
     sqrt(power).
@@ -47,7 +51,7 @@ class SourceScene:
     angles_deg: Tuple[float, ...]
     power: float = 1.0
     kind: str = "bpsk"
-    seed: int = 0
+    seed: Union[int, Tuple[int, ...]] = 0
     sampler: Optional[Callable[[np.random.Generator, Tuple[int, ...]], np.ndarray]] = None
 
     def __post_init__(self):
@@ -112,6 +116,45 @@ def manifold(array: SensorArray, thetas_deg: Sequence[float]) -> np.ndarray:
     return np.stack([steering_vector(array, t) for t in thetas_deg], axis=1)
 
 
+def simulate_sweep(
+    array: SensorArray,
+    scene: SourceScene,
+    snr_list: Sequence[float],
+    k_list: Sequence[int],
+    coupling: Optional[np.ndarray] = None,
+) -> Iterator[SnapshotMatrix]:
+    """X = (C.)A.S + noise at every (SNR, K) point, on common random numbers.
+
+    One draw from ``scene.seed`` serves every point: sources, then
+    unit-variance circular complex Gaussian noise (unless every SNR is
+    inf), both at max(k_list).
+    Point (snr_db, K) takes the first K columns of each and scales the
+    noise to per-sensor variance power * 10^(-snr_db/10); snr_db = inf
+    disables it.  Points are yielded for each SNR in turn, each over
+    ``k_list``, in the order given.
+
+    ``coupling`` is an optional N x N matrix applied to the steering
+    side only, so the noise stays sensor-local.
+    """
+    if min(k_list) < 1:
+        raise ValueError("need at least one snapshot")
+    rng = np.random.default_rng(scene.seed)
+    k_max = max(k_list)
+    a = manifold(array, scene.angles_deg)
+    if coupling is not None:
+        a = np.asarray(coupling) @ a
+    s = scene.draw_sources(rng, k_max)
+    noiseless = all(math.isinf(snr_db) for snr_db in snr_list)
+    unit_noise = None if noiseless else complex_gaussian_sampler(rng, (array.n_sensors, k_max))
+    for snr_db in snr_list:
+        sigma = math.sqrt(scene.power * 10.0 ** (-snr_db / 10.0))
+        for k in k_list:
+            x = a @ s[:, :k]
+            if not math.isinf(snr_db):
+                x += sigma * unit_noise[:, :k]
+            yield SnapshotMatrix(x, array, snr_db, coupled=coupling is not None)
+
+
 def simulate(
     array: SensorArray,
     scene: SourceScene,
@@ -119,29 +162,8 @@ def simulate(
     n_snapshots: int,
     coupling: Optional[np.ndarray] = None,
 ) -> SnapshotMatrix:
-    """Generate X = (C.)A.S + noise snapshots.
-
-    Noise is circular complex Gaussian, independent of the sources, with
-    per-sensor variance power * 10^(-snr_db/10); snr_db = inf disables
-    it.  The draw is deterministic given scene.seed (sources first, then
-    noise, in a fixed order).
-
-    ``coupling`` is an optional N x N matrix applied to the steering
-    side only, so the noise stays sensor-local.
-    """
-    if n_snapshots < 1:
-        raise ValueError("need at least one snapshot")
-    rng = np.random.default_rng(scene.seed)
-    a = manifold(array, scene.angles_deg)
-    s = scene.draw_sources(rng, n_snapshots)
-    if math.isinf(snr_db):
-        noise = 0.0
-    else:
-        sigma2 = scene.power * 10.0 ** (-snr_db / 10.0)
-        noise = complex_gaussian_sampler(rng, (array.n_sensors, n_snapshots)) * math.sqrt(sigma2)
-    if coupling is not None:
-        a = np.asarray(coupling) @ a
-    return SnapshotMatrix(a @ s + noise, array, snr_db, coupled=coupling is not None)
+    """The single-point case of ``simulate_sweep``: one SNR, one K."""
+    return next(simulate_sweep(array, scene, [snr_db], [n_snapshots], coupling))
 
 
 def save_snapshots(path, snap: SnapshotMatrix) -> None:

@@ -6,7 +6,11 @@ import os
 
 import pytest
 
-from coarraylab.cli import main
+from coarraylab import coarray as ca
+from coarraylab import coupling as cp
+from coarraylab import estimator as est
+from coarraylab import signalsim as sim
+from coarraylab.cli import _fogna_for_sensors, main
 
 
 def run(capsys, *argv):
@@ -152,6 +156,34 @@ class TestExperiments:
         run(capsys, *args, "--jobs", "3", "--out-dir", str(tmp_path / "par"))
         assert (tmp_path / "serial" / "rmse_trials.jsonl").read_bytes() == \
                (tmp_path / "par" / "rmse_trials.jsonl").read_bytes()
+
+    def test_rmse_records_match_the_library_path(self, capsys, tmp_path):
+        truths, snrs, ks, seed = [-30.0, 5.0, 40.0], [0.0, 10.0], [1500, 3000], 23
+        code, _, _ = run(capsys, "rmse", "--n-sensors", "7", "--angles=-30,5,40",
+                         "--snr-list=0,10", "--snapshots-list", "1500,3000", "--trials", "2",
+                         "--seed", str(seed), "--coupling", "--out-dir", str(tmp_path))
+        assert code == 0
+        with open(tmp_path / "rmse_trials.jsonl") as fh:
+            records = [json.loads(line) for line in fh]
+        array = _fogna_for_sensors(7)
+        lc = ca.analyze_segment(ca.foeca(array)).lc
+        expected = []
+        for trial in range(2):
+            scene = sim.SourceScene(truths, seed=(seed, trial))
+            for snap in sim.simulate_sweep(array, scene, snrs, ks, cp.coupling_matrix(array)):
+                meas = est.assemble_foeca(est.sample_cumulants(snap), array, lc=lc)
+                angles = est.ss_music(meas, len(truths)).angles_deg
+                errors = est.match_nearest(angles, truths)
+                expected.append({
+                    "snr_db": snap.snr_db, "n_snapshots": snap.n_snapshots, "trial": trial,
+                    "seed": seed, "truths": truths,
+                    "estimates": [round(float(v), 6) for v in angles],
+                    "errors": [round(float(v), 6) for v in errors],
+                    "rmse": round(float(est.rmse([(angles, truths)])), 6),
+                })
+        assert [(r["snr_db"], r["n_snapshots"]) for r in expected] == [
+            (snr, k) for snr in snrs for k in ks] * 2
+        assert records == expected
 
 
 class TestSweepValidation:

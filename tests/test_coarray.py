@@ -30,6 +30,16 @@ def oracle_case_multiset(positions, case):
     return out
 
 
+def oracle_generators(positions, case):
+    """Map each lag to the sensor-index quadruples that generate it."""
+    signs = CASE_SIGNS[case]
+    gens = {}
+    for quad in product(range(len(positions)), repeat=4):
+        lag = sum(s * positions[i] for s, i in zip(signs, quad))
+        gens.setdefault(lag, []).append(quad)
+    return gens
+
+
 def oracle_foeca(positions):
     total = {}
     for case in (1, 2, 3):
@@ -96,10 +106,11 @@ class TestFoca:
             assert dict(foca(positions, case).entries) == oracle_case_multiset(positions, case)
 
     def test_generators(self):
-        m = foca((0, 1), 1, with_generators=True)
-        assert sum(len(v) for v in m.generators.values()) == 16
+        gens = oracle_generators((0, 1), 1)
+        assert sum(len(v) for v in gens.values()) == 16
         # lag 3 = 1+1+1-0 has exactly one generating quadruple
-        assert m.generators[3] == [(1, 1, 1, 0)]
+        assert gens[3] == [(1, 1, 1, 0)]
+        assert {lag: len(q) for lag, q in gens.items()} == dict(foca((0, 1), 1).entries)
 
     def test_bad_case(self):
         with pytest.raises(ValueError):

@@ -15,6 +15,7 @@ from coarraylab.signalsim import (
     manifold,
     save_snapshots,
     simulate,
+    simulate_sweep,
     steering_vector,
 )
 
@@ -104,6 +105,54 @@ class TestSimulate:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             simulate(build_ula(2), SourceScene((0.0,), seed=1), 0.0, 0)
+
+
+class TestSimulateSweep:
+    ARR = SensorArray((0, 1, 3, 7))
+    SCENE = SourceScene((-20.0, 35.0), power=1.5, seed=(21, 3))
+
+    def points(self, snr_list, k_list, coupling=None):
+        return list(simulate_sweep(self.ARR, self.SCENE, snr_list, k_list, coupling))
+
+    @pytest.mark.parametrize("coupled", [False, True])
+    def test_simulate_is_the_first_point(self, coupled):
+        c = np.array([[1.0, 0.1, 0, 0], [0.1, 1.0, 0.1, 0], [0, 0.1, 1.0, 0.1], [0, 0, 0.1, 1.0]])
+        c = c if coupled else None
+        first = self.points([4.0, -2.0], [900, 300], c)[0]
+        single = simulate(self.ARR, self.SCENE, 4.0, 900, coupling=c)
+        assert np.array_equal(first.data, single.data)
+        assert (first.snr_db, first.n_snapshots, first.coupled) == (4.0, 900, coupled)
+
+    def test_points_in_snr_then_k_order(self):
+        pts = self.points([math.inf, 0.0], [50, 200, 100])
+        assert [(p.snr_db, p.n_snapshots) for p in pts] == [
+            (math.inf, 50), (math.inf, 200), (math.inf, 100),
+            (0.0, 50), (0.0, 200), (0.0, 100),
+        ]
+
+    def test_noise_scales_per_snr(self):
+        clean, low, high = (p.data for p in self.points([math.inf, 0.0, 10.0], [500]))
+        assert np.array_equal(clean, simulate(self.ARR, self.SCENE, math.inf, 500).data)
+        # one unit-noise draw, scaled to variance power * 10^(-snr/10)
+        np.testing.assert_allclose((high - clean) * math.sqrt(10.0), low - clean,
+                                   rtol=1e-12, atol=1e-12)
+        assert np.mean(np.abs(low - clean) ** 2) == pytest.approx(1.5, rel=0.1)
+
+    def test_points_are_prefixes_of_one_draw(self):
+        # the stream every sweep depends on: BPSK sources, then unit
+        # noise, both at the largest K, from default_rng(scene.seed);
+        # a smaller K takes the first K columns of each
+        rng = np.random.default_rng([21, 3])
+        s = rng.choice([-1.0, 1.0], size=(2, 400)) * math.sqrt(1.5)
+        unit = complex_gaussian_sampler(rng, (4, 400))
+        a = manifold(self.ARR, self.SCENE.angles_deg)
+        sigma = math.sqrt(1.5 * 10.0 ** (-6.0 / 10.0))
+        for snap, k in zip(self.points([6.0], [400, 250]), (400, 250)):
+            assert np.array_equal(snap.data, a @ s[:, :k] + sigma * unit[:, :k])
+
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError):
+            self.points([0.0], [100, 0])
 
 
 class TestPersistence:
