@@ -207,7 +207,8 @@ def _run_doa_trial(trial: int, *, array, truths, snr_list, k_list, seed, lc, gri
 
     ``simulate_sweep`` draws the trial's sources and noise once from the
     seed (seed, trial), so sweep points are compared on common random
-    numbers.
+    numbers.  An estimate with fewer peaks than sources is a miss: its
+    record keeps the peaks found, with ``errors`` and ``rmse`` null.
     """
     steering = _steering_grid(sub_len, grid_step)
     scene = sim.SourceScene(truths, seed=(seed, trial))
@@ -217,17 +218,21 @@ def _run_doa_trial(trial: int, *, array, truths, snr_list, k_list, seed, lc, gri
         estimate = est.ss_music(meas, scene.n_sources, grid_step_deg=grid_step,
                                 subarray_len=sub_len, min_peak_sep_deg=min_sep,
                                 steering=steering)
-        errors = est.match_nearest(estimate.angles_deg, truths)
-        records.append({
+        record = {
             "snr_db": snap.snr_db,
             "n_snapshots": snap.n_snapshots,
             "trial": trial,
             "seed": seed,
             "truths": list(truths),
             "estimates": [round(float(v), 6) for v in estimate.angles_deg],
-            "errors": [round(float(v), 6) for v in errors],
-            "rmse": round(float(np.sqrt(np.mean(errors ** 2))), 6),
-        })
+            "errors": None,
+            "rmse": None,
+        }
+        if len(estimate.angles_deg) == len(truths):
+            errors = est.match_nearest(estimate.angles_deg, truths)
+            record["errors"] = [round(float(v), 6) for v in errors]
+            record["rmse"] = round(float(np.sqrt(np.mean(errors ** 2))), 6)
+        records.append(record)
     return records
 
 
@@ -245,7 +250,11 @@ def _run_trials(args, array, truths, snr_list, k_list) -> List[Dict]:
             per_trial = list(pool.map(run_trial, range(args.trials)))
     else:
         per_trial = [run_trial(trial) for trial in range(args.trials)]
-    return [rec for records in per_trial for rec in records]
+    records = [rec for records in per_trial for rec in records]
+    misses = sum(rec["rmse"] is None for rec in records)
+    print(f"misses: {misses} of {len(records)} estimates found fewer peaks than sources",
+          file=sys.stderr)
+    return records
 
 
 def _check_sweep(args, truths: Sequence[float], snr_list: Sequence[float]) -> None:
@@ -261,6 +270,9 @@ def _check_sweep(args, truths: Sequence[float], snr_list: Sequence[float]) -> No
     for snr_db in snr_list:
         if math.isnan(snr_db) or snr_db == -math.inf:
             raise ValueError(f"SNR must be a number of dB or inf, got {snr_db}")
+    if not (math.isfinite(args.min_peak_sep) and args.min_peak_sep >= 0):
+        raise ValueError(f"--min-peak-sep must be a finite number of degrees >= 0, "
+                         f"got {args.min_peak_sep}")
 
 
 def cmd_resolve(args) -> int:
@@ -278,11 +290,12 @@ def cmd_resolve(args) -> int:
     rows = []
     n_ok = 0
     for rec in records:
-        hit = max(abs(e) for e in rec["errors"]) <= args.tol_deg
+        scored = rec["rmse"] is not None
+        hit = scored and max(abs(e) for e in rec["errors"]) <= args.tol_deg
         n_ok += hit
         rows.append([rec["trial"], rec["seed"],
                      ";".join(f"{v:.4f}" for v in rec["estimates"]),
-                     f"{rec['rmse']:.6f}", int(hit)])
+                     f"{rec['rmse']:.6f}" if scored else "nan", int(hit)])
     path = os.path.join(out_dir, "resolve_summary.csv")
     _write_csv(path, ["trial", "seed", "estimates_deg", "rmse_deg", "within_tol"], rows)
     print(f"{n_ok}/{len(records)} trials within {args.tol_deg} deg; summary in {path}")
@@ -310,9 +323,12 @@ def cmd_rmse(args) -> int:
     for snr_db in snr_list:
         for k in k_list:
             vals = [r["rmse"] for r in records
-                    if r["snr_db"] == snr_db and r["n_snapshots"] == k]
-            rows.append([snr_db, k, len(vals),
-                         f"{float(np.median(vals)):.6f}", f"{float(np.mean(vals)):.6f}"])
+                    if r["snr_db"] == snr_db and r["n_snapshots"] == k and r["rmse"] is not None]
+            if vals:
+                rows.append([snr_db, k, len(vals),
+                             f"{float(np.median(vals)):.6f}", f"{float(np.mean(vals)):.6f}"])
+            else:
+                rows.append([snr_db, k, 0, "nan", "nan"])
     path = os.path.join(out_dir, "rmse_results.csv")
     _write_csv(path, ["snr_db", "n_snapshots", "n_trials", "median_rmse_deg", "mean_rmse_deg"], rows)
     for row in rows:

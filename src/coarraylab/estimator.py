@@ -1,11 +1,13 @@
 """Fourth-order cumulant estimation and co-array MUSIC.
 
-The pipeline: sample the three conjugation-case cumulant tensors from
+The pipeline: sample the conjugation-case cumulant tensors from
 snapshots, average all entries sharing a virtual lag (across quadruples
 and cases, with equal weights; the BPSK source model makes the three
 case cumulants identical so cross-case pooling is unbiased), then run
 spatial-smoothing MUSIC on the resulting single-snapshot virtual-ULA
-measurement.
+measurement.  MUSIC scans the D-dimensional signal subspace rather than
+the noise subspace, so its grid scan costs O(D*L*G) for D sources, a
+co-array half-length L and G grid points.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ class CumulantBank:
 
 
 def sample_cumulants(snapshots) -> CumulantBank:
-    """Estimate the three case cumulant tensors from an N x K snapshot block.
+    """Estimate the case-1 and case-2 cumulant tensors from an N x K snapshot block.
 
     Each entry is the empirical fourth moment minus the three
     pairwise-product second-moment terms, with the conjugations placed
@@ -70,7 +72,9 @@ def sample_cumulants(snapshots) -> CumulantBank:
         case 2: cum(x1, x2*, x3, x4*)  ->  p1 - p2 + p3 - p4
         case 3: cum(x1*, x2*, x3*, x4) -> -p1 - p2 - p3 + p4
 
-    Moments use the biased 1/K normalization.
+    Only cases 1 and 2 are stored; ``CumulantBank.case(3)`` derives
+    case 3 as the conjugate of case 1.  Moments use the biased 1/K
+    normalization.
     """
     x = snapshots.data if isinstance(snapshots, SnapshotMatrix) else np.asarray(snapshots)
     if x.ndim != 2:
@@ -169,14 +173,14 @@ def _pick_peaks(grid: np.ndarray, spec: np.ndarray, n_sources: int, min_sep_cell
             chosen.append(i)
         if len(chosen) == n_sources:
             break
-    step = grid[1] - grid[0]
     refined = []
     for i in chosen:
-        # three-point parabolic refinement on the log spectrum
+        # three-point parabolic refinement on the log spectrum (a grid
+        # with fewer than three cells has no peak, so grid[1] exists here)
         l0, l1, l2 = np.log(spec[i - 1]), np.log(spec[i]), np.log(spec[i + 1])
         denom = l0 - 2 * l1 + l2
         offset = 0.5 * (l0 - l2) / denom if denom != 0 else 0.0
-        refined.append(float(grid[i] + np.clip(offset, -1.0, 1.0) * step))
+        refined.append(float(grid[i] + np.clip(offset, -1.0, 1.0) * (grid[1] - grid[0])))
     return refined
 
 
@@ -248,11 +252,19 @@ def ss_music(
     The length-(2Lc+1) measurement is cut into overlapping subvectors of
     length ``subarray_len`` (default Lc+1, the maximum, which fixes the
     resolvable-source capacity at Lc); the mean of their outer products
-    is the smoothed covariance whose noise subspace drives the MUSIC
-    pseudo-spectrum.  That mean is one Gram product of the window
-    (Hankel) matrix, so memory stays O(L^2 + L*G) for G grid points.
+    is the smoothed covariance.  That mean is one Gram product of the
+    window (Hankel) matrix, so memory stays O(L^2 + L*G) for G grid
+    points.
+
+    The MUSIC pseudo-spectrum is 1 / |En^H a|^2 over the noise subspace
+    En.  With unit-modulus steering |a|^2 = sub, so the scan computes
+    sub - |Es^H a|^2 over the D = ``n_sources`` dimensional signal
+    subspace Es instead: O(D*L*G) work and a D x G temporary, where the
+    noise subspace would cost O(L^2*G).  The subtraction is floored at
+    its rounding error, sub*eps, where exact cumulants cancel it.
     Returns the ``n_sources`` largest well-separated spectrum peaks,
-    parabolic-refined off the grid.
+    parabolic-refined off the grid; fewer when the spectrum has fewer
+    peaks at least ``min_peak_sep_deg`` apart.
 
     ``steering`` is a prebuilt grid for this subarray length and grid
     step, for callers that estimate many times with one setting; by
@@ -261,6 +273,8 @@ def ss_music(
     lc = meas.lc
     if n_sources < 1:
         raise ValueError("need at least one source")
+    if not (math.isfinite(min_peak_sep_deg) and min_peak_sep_deg >= 0):
+        raise ValueError(f"min_peak_sep_deg must be finite and >= 0, got {min_peak_sep_deg}")
     sub = subarray_length(lc, n_sources, subarray_len)
     if steering is None:
         steering = SteeringGrid.build(sub, grid_step_deg)
@@ -271,9 +285,9 @@ def ss_music(
         )
     eigvals, eigvecs = np.linalg.eigh(smoothed_covariance(meas.values, sub))
     rank = int(np.sum(eigvals > max(1e-12 * eigvals[-1], 0.0)))
-    noise = eigvecs[:, : sub - n_sources]
-    denom = np.sum(np.abs(noise.conj().T @ steering.steering) ** 2, axis=0)
-    spec = 1.0 / np.maximum(denom, 1e-300)
+    signal = eigvecs[:, sub - n_sources:]
+    denom = sub - np.sum(np.abs(signal.conj().T @ steering.steering) ** 2, axis=0)
+    spec = 1.0 / np.maximum(denom, sub * np.finfo(float).eps)
     min_sep_cells = max(1, int(round(min_peak_sep_deg / grid_step_deg)))
     peaks = _pick_peaks(steering.grid_deg, spec, n_sources, min_sep_cells)
     return DoaEstimate(np.sort(np.asarray(peaks)), steering.grid_deg, spec,

@@ -186,6 +186,66 @@ class TestExperiments:
         assert records == expected
 
 
+class TestRecordedMisses:
+    def test_too_few_peaks_is_a_miss_not_an_abort(self, capsys, tmp_path):
+        # peaks 40 deg apart leave room for at most five of the six sources
+        code, _, err = run(capsys, "rmse", "--n-sensors", "7", "--n-sources", "6",
+                           "--min-peak-sep", "40", "--snr-list=0,10", "--snapshots-list",
+                           "2000", "--trials", "2", "--seed", "1", "--out-dir", str(tmp_path))
+        assert code == 0
+        assert "misses: 4 of 4 estimates" in err
+        with open(tmp_path / "rmse_trials.jsonl") as fh:
+            records = [json.loads(line) for line in fh]
+        assert len(records) == 4
+        for rec in records:
+            assert 0 < len(rec["estimates"]) < 6
+            assert rec["errors"] is None and rec["rmse"] is None
+        with open(tmp_path / "rmse_results.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["n_trials"], r["median_rmse_deg"], r["mean_rmse_deg"]) for r in rows] == \
+            [("0", "nan", "nan")] * 2
+
+    def test_aggregates_count_scored_trials_only(self, capsys, tmp_path, monkeypatch):
+        music, calls = est.ss_music, []
+
+        def drop_a_peak_on_the_second_call(*args, **kwargs):
+            estimate = music(*args, **kwargs)
+            calls.append(estimate)
+            if len(calls) == 2:
+                estimate.angles_deg = estimate.angles_deg[:-1]
+            return estimate
+
+        monkeypatch.setattr(est, "ss_music", drop_a_peak_on_the_second_call)
+        code, _, err = run(capsys, "rmse", "--n-sensors", "7", "--angles=-20,20",
+                           "--snr-list", "5", "--snapshots-list", "1500", "--trials", "3",
+                           "--seed", "7", "--out-dir", str(tmp_path))
+        assert code == 0
+        assert "misses: 1 of 3 estimates" in err
+        with open(tmp_path / "rmse_trials.jsonl") as fh:
+            records = [json.loads(line) for line in fh]
+        assert [rec["rmse"] is None for rec in records] == [False, True, False]
+        assert len(records[1]["estimates"]) == 1
+        scored = [records[0]["rmse"], records[2]["rmse"]]
+        with open(tmp_path / "rmse_results.csv") as fh:
+            (row,) = list(csv.DictReader(fh))
+        assert row["n_trials"] == "2"
+        assert row["median_rmse_deg"] == f"{sum(scored) / 2:.6f}"
+        assert row["mean_rmse_deg"] == f"{sum(scored) / 2:.6f}"
+
+    @pytest.mark.parametrize("grid_step", ["60", "200"])
+    def test_resolve_counts_a_miss_as_unresolved(self, capsys, tmp_path, grid_step):
+        # a grid of two cells (60 deg) or none (200 deg) holds no peak
+        code, out, err = run(capsys, "resolve", "--n-sensors", "7", "--angles=-10,10",
+                             "--snapshots", "1500", "--grid-step", grid_step, "--trials", "1",
+                             "--seed", "1", "--out-dir", str(tmp_path))
+        assert code == 0
+        assert "misses: 1 of 1 estimates" in err
+        assert "0/1 trials within" in out
+        with open(tmp_path / "resolve_summary.csv") as fh:
+            (row,) = list(csv.DictReader(fh))
+        assert (row["estimates_deg"], row["rmse_deg"], row["within_tol"]) == ("", "nan", "0")
+
+
 class TestSweepValidation:
     RMSE = ["rmse", "--n-sensors", "7", "--n-sources", "2", "--angles=-20,20",
             "--snr-list", "5", "--snapshots-list", "1500", "--trials", "1", "--seed", "7"]
@@ -199,6 +259,9 @@ class TestSweepValidation:
         (["--angles=10,10"], "distinct"),
         (["--angles=-20,95"], "(-90, 90)"),
         (["--angles=nan,20"], "(-90, 90)"),
+        (["--min-peak-sep=nan"], "--min-peak-sep"),
+        (["--min-peak-sep=-1"], "--min-peak-sep"),
+        (["--min-peak-sep=inf"], "--min-peak-sep"),
     ])
     def test_rejected_before_any_trial(self, capsys, tmp_path, base, flags, message):
         code, out, err = run(capsys, *base, *flags, "--out-dir", str(tmp_path))

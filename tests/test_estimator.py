@@ -74,6 +74,17 @@ def outer_product_covariance(values, sub):
     return (windows[:, :, None] * windows.conj()[:, None, :]).mean(axis=0)
 
 
+def noise_subspace_spectrum(values, n_sources, grid):
+    """MUSIC spectrum 1 / |En^H a|^2 scanned over the (sub - D)-dim noise subspace.
+
+    ``ss_music`` scans the D-dimensional signal subspace instead, which
+    gives the same spectrum up to rounding; this is its reference.
+    """
+    _, eigvecs = np.linalg.eigh(smoothed_covariance(values, grid.sub))
+    noise = eigvecs[:, : grid.sub - n_sources]
+    return 1.0 / np.sum(np.abs(noise.conj().T @ grid.steering) ** 2, axis=0)
+
+
 def fogna_measurement(n_sensors, truths, snr_db, n_snapshots, seed):
     arr = build_fogna(optimize(n_sensors).best_params)
     snap = simulate(arr, SourceScene(truths, seed=seed), snr_db, n_snapshots)
@@ -81,6 +92,14 @@ def fogna_measurement(n_sensors, truths, snr_db, n_snapshots, seed):
 
 
 TWELVE_SOURCES = tuple(np.linspace(-60.0, 60.0, 12))
+
+# (n_sensors, truths, snr_db, n_snapshots, grid_step, subarray length)
+NOISY_SCENES = [
+    (9, TWELVE_SOURCES, 5.0, 14_000, 0.02, None),
+    (7, (-30.0, 30.0), 10.0, 10_000, 0.05, 79),
+    (7, (-0.8, 0.8), 0.0, 10_000, 0.05, None),
+    (7, (-40.0, -5.0, 20.0, 55.0), 0.0, 6_000, 0.05, 60),
+]
 
 
 class TestSampleCumulants:
@@ -213,6 +232,48 @@ class TestSsMusic:
         ref = sorted(grid[peaks[:2]])
         assert np.allclose(est.angles_deg, ref, atol=0.2)
 
+    @pytest.mark.parametrize("sep", [math.nan, math.inf, -math.inf, -0.1])
+    def test_rejects_bad_min_peak_sep(self, sep):
+        arr = SensorArray((0, 1, 2, 5, 8))
+        meas = assemble_foeca(analytic_bank(arr, [10.0]), arr)
+        with pytest.raises(ValueError, match="min_peak_sep_deg"):
+            ss_music(meas, 1, min_peak_sep_deg=sep)
+
+
+class TestSignalSubspaceScan:
+    @pytest.mark.parametrize("n_sensors, truths, snr_db, n_snapshots, grid_step, sub",
+                             NOISY_SCENES)
+    def test_spectrum_matches_noise_subspace_oracle(self, n_sensors, truths, snr_db,
+                                                    n_snapshots, grid_step, sub):
+        # the subtraction sub - |Es^H a|^2 loses about sub*eps absolutely,
+        # and the smallest noisy denominator is far above that
+        meas = fogna_measurement(n_sensors, truths, snr_db, n_snapshots, seed=1000)
+        est = ss_music(meas, len(truths), grid_step_deg=grid_step, subarray_len=sub)
+        grid = SteeringGrid.build(meas.lc + 1 if sub is None else sub, grid_step)
+        ref = noise_subspace_spectrum(meas.values, len(truths), grid)
+        assert np.allclose(est.spectrum, ref, rtol=1e-8, atol=0)
+        min_sep_cells = max(1, round(0.5 / grid_step))
+        ref_angles = np.sort(estimator._pick_peaks(grid.grid_deg, ref, len(truths), min_sep_cells))
+        assert np.array_equal(np.round(est.angles_deg, 6), np.round(ref_angles, 6))
+
+    @pytest.mark.parametrize("positions, angles, n_sources", [
+        ((0, 1, 2, 5, 8), (10.0,), 1),
+        ((0, 1, 2), (20.0,), 1),
+        ((0, 1, 2, 5, 8), (-12.0, 10.0), 2),
+        ((0, 1, 2, 5, 8), (10.0,), 2),
+    ])
+    def test_exact_cumulant_spectrum_is_finite_and_positive(self, positions, angles, n_sources):
+        # with exact cumulants the denominator cancels to rounding at the
+        # true angles; the floor sub*eps bounds the spectrum there
+        arr = SensorArray(positions)
+        meas = assemble_foeca(analytic_bank(arr, angles), arr)
+        est = ss_music(meas, n_sources)
+        sub = meas.lc + 1
+        assert np.all(np.isfinite(est.spectrum)) and np.all(est.spectrum > 0)
+        assert est.spectrum.max() <= 1.0 / (sub * np.finfo(float).eps)
+        nearest = np.min(np.abs(est.angles_deg[:, None] - np.asarray(angles)), axis=0)
+        assert np.all(nearest < 1e-6)
+
 
 class TestRmse:
     def test_exact_estimates(self):
@@ -246,12 +307,8 @@ class TestSmoothedCovariance:
         assert r.shape == (sub, sub)
         assert np.allclose(r, outer_product_covariance(meas.values, sub), rtol=1e-12, atol=0)
 
-    @pytest.mark.parametrize("n_sensors, truths, snr_db, n_snapshots, grid_step, sub", [
-        (9, TWELVE_SOURCES, 5.0, 14_000, 0.02, None),
-        (7, (-30.0, 30.0), 10.0, 10_000, 0.05, 79),
-        (7, (-0.8, 0.8), 0.0, 10_000, 0.05, None),
-        (7, (-40.0, -5.0, 20.0, 55.0), 0.0, 6_000, 0.05, 60),
-    ])
+    @pytest.mark.parametrize("n_sensors, truths, snr_db, n_snapshots, grid_step, sub",
+                             NOISY_SCENES)
     def test_angles_match_oracle_path(self, monkeypatch, n_sensors, truths, snr_db,
                                       n_snapshots, grid_step, sub):
         meas = fogna_measurement(n_sensors, truths, snr_db, n_snapshots, seed=1000)
