@@ -20,7 +20,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -192,10 +192,6 @@ def cmd_coupling_table(args) -> int:
 
 # ------------------------------------------------------------ experiments
 
-def _fogna_for_sensors(n_sensors: int) -> geo.SensorArray:
-    return geo.build_fogna(optimize(n_sensors).best_params)
-
-
 # One sweep uses one (subarray length, grid step), so each process,
 # serial or pool worker, builds the steering grid once and reuses it.
 _steering_grid = functools.lru_cache(maxsize=1)(est.SteeringGrid.build)
@@ -236,12 +232,44 @@ def _run_doa_trial(trial: int, *, array, truths, snr_list, k_list, seed, lc, gri
     return records
 
 
-def _run_trials(args, array, truths, snr_list, k_list) -> List[Dict]:
+def _sweep(args, truths: Sequence[float], snr_list: Sequence[float], k_list: Sequence[int],
+           name: str) -> Tuple[List[Dict], str]:
+    """Run the trials of ``resolve`` or ``rmse`` and write ``<name>_trials.jsonl``.
+
+    Every setting is checked, and the array, Lc and subarray length are
+    resolved, before anything is printed or written, so a rejected sweep
+    leaves stdout empty and no file.  Returns (records, output directory).
+    """
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+    try:
+        sim.SourceScene(tuple(truths))
+    except ValueError as exc:
+        raise ValueError(f"truth angles {list(truths)}: {exc}") from None
+    if not snr_list or not k_list:
+        raise ValueError("the sweep needs at least one SNR and one snapshot count")
+    for snr_db in snr_list:
+        if math.isnan(snr_db) or snr_db == -math.inf:
+            raise ValueError(f"SNR must be a number of dB or inf, got {snr_db}")
+    if min(k_list) < 2:
+        raise ValueError(f"snapshot counts must be at least 2, got {min(k_list)}")
+    if not (math.isfinite(args.grid_step) and args.grid_step > 0):
+        raise ValueError(f"--grid-step must be a finite number of degrees > 0, "
+                         f"got {args.grid_step}")
+    if not (math.isfinite(args.min_peak_sep) and args.min_peak_sep >= 0):
+        raise ValueError(f"--min-peak-sep must be a finite number of degrees >= 0, "
+                         f"got {args.min_peak_sep}")
+    array = geo.build_fogna(optimize(args.n_sensors).best_params)
     lc = ca.analyze_segment(ca.foeca(array)).lc
+    sub_len = est.subarray_length(lc, len(truths), args.subarray_len)
+
+    print(f"array positions: {list(array.positions)}")
+    print(f"seed: {args.seed}")
     run_trial = functools.partial(
         _run_doa_trial, array=array, truths=truths, snr_list=snr_list, k_list=k_list,
-        seed=args.seed, lc=lc, grid_step=args.grid_step,
-        sub_len=est.subarray_length(lc, len(truths), args.subarray_len),
+        seed=args.seed, lc=lc, grid_step=args.grid_step, sub_len=sub_len,
         min_sep=args.min_peak_sep,
         coupling=cp.coupling_matrix(array) if args.coupling else None,
     )
@@ -254,39 +282,17 @@ def _run_trials(args, array, truths, snr_list, k_list) -> List[Dict]:
     misses = sum(rec["rmse"] is None for rec in records)
     print(f"misses: {misses} of {len(records)} estimates found fewer peaks than sources",
           file=sys.stderr)
-    return records
 
-
-def _check_sweep(args, truths: Sequence[float], snr_list: Sequence[float]) -> None:
-    """Reject settings that would run but give meaningless or no rows."""
-    if args.trials < 1:
-        raise ValueError(f"--trials must be at least 1, got {args.trials}")
-    if args.jobs < 1:
-        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
-    try:
-        sim.SourceScene(tuple(truths))
-    except ValueError as exc:
-        raise ValueError(f"truth angles {list(truths)}: {exc}") from None
-    for snr_db in snr_list:
-        if math.isnan(snr_db) or snr_db == -math.inf:
-            raise ValueError(f"SNR must be a number of dB or inf, got {snr_db}")
-    if not (math.isfinite(args.min_peak_sep) and args.min_peak_sep >= 0):
-        raise ValueError(f"--min-peak-sep must be a finite number of degrees >= 0, "
-                         f"got {args.min_peak_sep}")
+    out_dir = _out_dir(args)
+    with open(os.path.join(out_dir, f"{name}_trials.jsonl"), "w", encoding="utf-8") as fh:
+        for rec in records:
+            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    return records, out_dir
 
 
 def cmd_resolve(args) -> int:
     truths = sorted(_parse_floats(args.angles))
-    _check_sweep(args, truths, [args.snr])
-    array = _fogna_for_sensors(args.n_sensors)
-    print(f"array positions: {list(array.positions)}")
-    print(f"seed: {args.seed}")
-    records = _run_trials(args, array, truths, [args.snr], [args.snapshots])
-    out_dir = _out_dir(args)
-    jsonl = os.path.join(out_dir, "resolve_trials.jsonl")
-    with open(jsonl, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    records, out_dir = _sweep(args, truths, [args.snr], [args.snapshots], "resolve")
     rows = []
     n_ok = 0
     for rec in records:
@@ -309,16 +315,7 @@ def cmd_rmse(args) -> int:
         truths = sorted(_parse_floats(args.angles))
     else:
         truths = list(np.linspace(-60.0, 60.0, args.n_sources))
-    _check_sweep(args, truths, snr_list)
-    array = _fogna_for_sensors(args.n_sensors)
-    print(f"array positions: {list(array.positions)}")
-    print(f"seed: {args.seed}")
-    records = _run_trials(args, array, truths, snr_list, k_list)
-    out_dir = _out_dir(args)
-    jsonl = os.path.join(out_dir, "rmse_trials.jsonl")
-    with open(jsonl, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    records, out_dir = _sweep(args, truths, snr_list, k_list, "rmse")
     rows = []
     for snr_db in snr_list:
         for k in k_list:

@@ -48,7 +48,6 @@ class CumulantBank:
 
     case1: np.ndarray
     case2: np.ndarray
-    n_snapshots: int
 
     @property
     def n_sensors(self) -> int:
@@ -101,7 +100,7 @@ def sample_cumulants(snapshots) -> CumulantBank:
         - ra[:, None, :, None] * ra.conj()[None, :, None, :]
         - rb[:, None, None, :] * rb.T[None, :, :, None]
     )
-    return CumulantBank(c1, c2, k)
+    return CumulantBank(c1, c2)
 
 
 @dataclass
@@ -205,8 +204,8 @@ class SteeringGrid:
     def build(cls, sub: int, grid_step_deg: float) -> "SteeringGrid":
         if sub < 1:
             raise ValueError(f"subarray length must be positive, got {sub}")
-        if not grid_step_deg > 0:
-            raise ValueError(f"grid step must be positive, got {grid_step_deg}")
+        if not (math.isfinite(grid_step_deg) and grid_step_deg > 0):
+            raise ValueError(f"grid step must be finite and positive, got {grid_step_deg}")
         grid = np.arange(-90.0 + grid_step_deg, 90.0, grid_step_deg)
         steering = np.exp(1j * np.pi * np.arange(sub)[:, None] * np.sin(np.deg2rad(grid))[None, :])
         grid.flags.writeable = False

@@ -56,13 +56,10 @@ class SensorArray:
         Strictly increasing, non-negative, first element 0.
     split : tuple (N1, N2, N3), optional
         Subarray sensor counts when the array is a FOGNA.
-    cna_params : tuple (M1, M2), optional
-        CNA block sizes when the array is (or embeds) a CNA.
     """
 
     positions: Tuple[int, ...]
     split: Optional[Tuple[int, int, int]] = None
-    cna_params: Optional[Tuple[int, int]] = None
 
     def __post_init__(self):
         pos = tuple(int(p) for p in self.positions)
@@ -153,7 +150,7 @@ def build_cna(m1: int, m2: int) -> SensorArray:
     """
     if m1 < 1 or m2 < 1:
         raise ValueError(f"CNA block sizes must be positive, got ({m1}, {m2})")
-    return SensorArray(_cna_positions(m1, m2), cna_params=(m1, m2))
+    return SensorArray(_cna_positions(m1, m2))
 
 
 def build_nested(n1: int, n2: int) -> SensorArray:
@@ -187,8 +184,7 @@ def build_fogna(params) -> SensorArray:
     positions = tuple(sorted(s1 | s2 | s3))
     if len(positions) != params.n:
         raise AssertionError("FOGNA sensor count mismatch")
-    return SensorArray(positions, split=(params.n1, params.n2, params.n3),
-                       cna_params=(params.m1, params.m2))
+    return SensorArray(positions, split=(params.n1, params.n2, params.n3))
 
 
 FAMILIES = ("FL_NA", "SE_FL_NA", "FO_FRACTAL_NA", "SD_FODC_NA", "FOGNA")

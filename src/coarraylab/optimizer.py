@@ -16,7 +16,6 @@ from typing import List, Tuple
 from .geometry import FognaParams
 
 __all__ = [
-    "TraceRow",
     "OptimizerResult",
     "tail_allocation",
     "optimize",
@@ -26,22 +25,10 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class TraceRow:
-    n1: int
-    n2: int
-    n3: int
-    m1: int
-    m2: int
-    e1: int
-    e2: int
-    dof: int
-
-
-@dataclass(frozen=True)
 class OptimizerResult:
     best_params: FognaParams
     dof_star: int
-    trace: Tuple[TraceRow, ...]
+    trace: Tuple[FognaParams, ...]
 
 
 def tail_allocation(n: int, n1: int) -> Tuple[int, int]:
@@ -61,22 +48,23 @@ def optimize(n: int) -> OptimizerResult:
     """Search N1 = 2..N-2 for the split maximizing the consecutive-lag count.
 
     Returns the argmax split (ties broken by the smallest N1, keeping the
-    dense subarray minimal) together with the full scored trace.
+    dense subarray minimal) together with the full trace: the
+    ``FognaParams`` of every split searched, each scored by its ``dof``.
     """
     if n < 4:
         raise ValueError(f"need at least 4 sensors (N1>=2, N2>=1, N3>=1), got {n}")
     best: FognaParams | None = None
-    rows: List[TraceRow] = []
+    trace: List[FognaParams] = []
     for n1 in range(2, n - 1):
         n2, n3 = tail_allocation(n, n1)
         if n2 < 1 or n3 < 1:
             continue
         params = FognaParams.from_split(n1, n2, n3)
-        rows.append(TraceRow(n1, n2, n3, params.m1, params.m2, params.e1, params.e2, params.dof))
+        trace.append(params)
         if best is None or params.dof > best.dof:
             best = params
     assert best is not None
-    return OptimizerResult(best, best.dof, tuple(rows))
+    return OptimizerResult(best, best.dof, tuple(trace))
 
 
 def dof_quadratic(n: int, n1: int, n3: int) -> int:

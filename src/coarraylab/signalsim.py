@@ -38,19 +38,18 @@ def complex_gaussian_sampler(rng: np.random.Generator, shape: Tuple[int, ...]) -
 
 @dataclass(frozen=True)
 class SourceScene:
-    """Source angles, constellation, per-source power and RNG seed.
+    """Source angles, per-source power, RNG seed and source model.
 
     ``seed`` is anything ``np.random.default_rng`` takes: an int, or a
     tuple such as (sweep seed, trial index) for one trial of a sweep.
 
-    ``kind`` is "bpsk" or "custom"; a custom scene supplies ``sampler``,
-    a callable (rng, shape) -> unit-power samples which are scaled by
-    sqrt(power).
+    ``sampler`` chooses the source model: None draws BPSK, and a
+    callable (rng, shape) -> unit-power samples draws custom sources.
+    Either is scaled by sqrt(power).
     """
 
     angles_deg: Tuple[float, ...]
     power: float = 1.0
-    kind: str = "bpsk"
     seed: Union[int, Tuple[int, ...]] = 0
     sampler: Optional[Callable[[np.random.Generator, Tuple[int, ...]], np.ndarray]] = None
 
@@ -62,12 +61,8 @@ class SourceScene:
             raise ValueError("source angles must be distinct")
         if not all(abs(a) < 90.0 for a in angles):
             raise ValueError("source angles must lie in (-90, 90) degrees")
-        if self.power <= 0:
-            raise ValueError("source power must be positive")
-        if self.kind not in ("bpsk", "custom"):
-            raise ValueError(f"kind must be 'bpsk' or 'custom', got {self.kind!r}")
-        if self.kind == "custom" and self.sampler is None:
-            raise ValueError("custom scenes need a sampler")
+        if not (math.isfinite(self.power) and self.power > 0):
+            raise ValueError(f"source power must be finite and positive, got {self.power}")
         object.__setattr__(self, "angles_deg", angles)
 
     @property
@@ -76,7 +71,7 @@ class SourceScene:
 
     def draw_sources(self, rng: np.random.Generator, n_snapshots: int) -> np.ndarray:
         shape = (self.n_sources, n_snapshots)
-        if self.kind == "bpsk":
+        if self.sampler is None:
             return rng.choice([-1.0, 1.0], size=shape) * math.sqrt(self.power)
         return self.sampler(rng, shape) * math.sqrt(self.power)
 

@@ -9,8 +9,10 @@ import pytest
 from coarraylab import coarray as ca
 from coarraylab import coupling as cp
 from coarraylab import estimator as est
+from coarraylab import geometry as geo
 from coarraylab import signalsim as sim
-from coarraylab.cli import _fogna_for_sensors, main
+from coarraylab.cli import main
+from coarraylab.optimizer import optimize
 
 
 def run(capsys, *argv):
@@ -165,7 +167,7 @@ class TestExperiments:
         assert code == 0
         with open(tmp_path / "rmse_trials.jsonl") as fh:
             records = [json.loads(line) for line in fh]
-        array = _fogna_for_sensors(7)
+        array = geo.build_fogna(optimize(7).best_params)
         lc = ca.analyze_segment(ca.foeca(array)).lc
         expected = []
         for trial in range(2):
@@ -262,11 +264,24 @@ class TestSweepValidation:
         (["--min-peak-sep=nan"], "--min-peak-sep"),
         (["--min-peak-sep=-1"], "--min-peak-sep"),
         (["--min-peak-sep=inf"], "--min-peak-sep"),
+        (["--grid-step=0"], "--grid-step"),
+        (["--grid-step=nan"], "--grid-step"),
+        (["--grid-step=-1"], "--grid-step"),
+        (["--grid-step=inf"], "--grid-step"),
+        # rmse takes --snapshots as the unambiguous prefix of --snapshots-list
+        (["--snapshots=1"], "snapshot counts must be at least 2"),
     ])
     def test_rejected_before_any_trial(self, capsys, tmp_path, base, flags, message):
         code, out, err = run(capsys, *base, *flags, "--out-dir", str(tmp_path))
         assert code == 2
         assert err.startswith("error: ") and message in err
+        assert out == "" and list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag", ["--snr-list=", "--snapshots-list="])
+    def test_empty_rmse_list_rejected_before_any_trial(self, capsys, tmp_path, flag):
+        code, out, err = run(capsys, *self.RMSE, flag, "--out-dir", str(tmp_path))
+        assert code == 2
+        assert err.startswith("error: the sweep needs at least one SNR and one snapshot count")
         assert out == "" and list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("flags", [
@@ -281,12 +296,12 @@ class TestSweepValidation:
 
     @pytest.mark.parametrize("sub_len", ["2", "178"])
     def test_subarray_length_checked_before_trials(self, capsys, tmp_path, sub_len):
-        # the bound 2*Lc+1 = 177 needs the array, so positions are printed first
-        code, _, err = run(capsys, *self.RMSE, "--subarray-len", sub_len,
-                           "--out-dir", str(tmp_path))
+        # the bound 2*Lc+1 = 177 needs the array, which is designed before any output
+        code, out, err = run(capsys, *self.RMSE, "--subarray-len", sub_len,
+                             "--out-dir", str(tmp_path))
         assert code == 2
         assert err.startswith("error: subarray length must lie in (2, 177]")
-        assert list(tmp_path.iterdir()) == []
+        assert out == "" and list(tmp_path.iterdir()) == []
 
     def test_rmse_needs_a_source(self, capsys, tmp_path):
         code, _, err = run(capsys, *self.RMSE[:5], "--n-sources", "0", "--snr-list", "5",

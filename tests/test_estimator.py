@@ -61,7 +61,7 @@ def analytic_bank(array, angles_deg, power=1.0):
         for theta in angles_deg:
             tensor += -2 * power**2 * np.exp(1j * np.pi * v * math.sin(math.radians(theta)))
         cases.append(tensor)
-    return CumulantBank(cases[0], cases[1], n_snapshots=0)
+    return CumulantBank(cases[0], cases[1])
 
 
 def outer_product_covariance(values, sub):
@@ -362,7 +362,8 @@ class TestSteeringGrid:
         with pytest.raises(ValueError, match="prebuilt steering grid"):
             ss_music(meas, 1, grid_step_deg=0.05, steering=SteeringGrid.build(sub, step))
 
-    @pytest.mark.parametrize("sub, step", [(0, 0.05), (5, 0.0), (5, -0.1), (5, math.nan)])
+    @pytest.mark.parametrize("sub, step", [(0, 0.05), (5, 0.0), (5, -0.1), (5, math.nan),
+                                           (5, math.inf)])
     def test_build_rejects_bad_arguments(self, sub, step):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="subarray length|grid step"):
             SteeringGrid.build(sub, step)

@@ -50,9 +50,16 @@ class TestScene:
         with pytest.raises(ValueError):
             SourceScene((95.0,))
 
-    def test_custom_needs_sampler(self):
-        with pytest.raises(ValueError):
-            SourceScene((0.0,), kind="custom")
+    @pytest.mark.parametrize("power", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_power_that_is_not_finite_and_positive(self, power):
+        with pytest.raises(ValueError, match="source power"):
+            SourceScene((0.0,), power=power)
+
+    def test_sampler_draws_are_used_scaled_by_sqrt_power(self):
+        scene = SourceScene((0.0, 30.0), power=4.0, sampler=complex_gaussian_sampler)
+        s = scene.draw_sources(np.random.default_rng(5), 100)
+        unit = complex_gaussian_sampler(np.random.default_rng(5), (2, 100))
+        assert np.array_equal(s, 2.0 * unit)
 
     def test_bpsk_values(self):
         scene = SourceScene((0.0,), power=4.0, seed=3)
