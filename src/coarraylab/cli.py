@@ -6,8 +6,8 @@ Lines.  Every stochastic command takes a mandatory --seed and echoes it,
 and re-running a command with the same configuration reproduces its
 output files byte for byte.
 
-A flat key-value config file (``key = value`` lines, '#' comments) can
-seed any subcommand's options via --config; explicit flags override it.
+A flat key-value config file (``key = value`` lines, '#' comments) given as
+--config FILE or --config=FILE seeds any subcommand's options; explicit flags win.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -34,10 +34,10 @@ from .optimizer import optimize
 OUT_DIR_ENV = "COARRAYLAB_OUT"
 
 
-def _out_dir(args) -> str:
-    path = args.out_dir or os.environ.get(OUT_DIR_ENV) or "."
-    os.makedirs(path, exist_ok=True)
-    return path
+def _out_path(args, name: str) -> str:
+    out_dir = args.out_dir or os.environ.get(OUT_DIR_ENV) or "."
+    os.makedirs(out_dir, exist_ok=True)
+    return os.path.join(out_dir, name)
 
 
 def _parse_floats(text: str) -> List[float]:
@@ -48,11 +48,13 @@ def _parse_ints(text: str) -> List[int]:
     return [int(x) for x in text.split(",") if x.strip() != ""]
 
 
-def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> None:
+def _write_csv(args, name: str, header: Sequence[str], rows: Sequence[Sequence]) -> str:
+    path = _out_path(args, name)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+    return path
 
 
 # ---------------------------------------------------------------- design
@@ -66,9 +68,8 @@ def cmd_design(args) -> int:
     print(f"DOF={result.dof_star}")
     print(f"positions={list(array.positions)}")
     print(f"aperture={array.aperture}")
-    path = os.path.join(_out_dir(args), f"design_trace_N{args.n}.csv")
-    _write_csv(
-        path,
+    path = _write_csv(
+        args, f"design_trace_N{args.n}.csv",
         ["N1", "N2", "N3", "M1", "M2", "E1", "E2", "DOF"],
         [[r.n1, r.n2, r.n3, r.m1, r.m2, r.e1, r.e2, r.dof] for r in result.trace],
     )
@@ -146,8 +147,8 @@ def cmd_dof_table(args) -> int:
             except ValueError:
                 formula = ""
             rows.append([n, family, "(" + ",".join(map(str, split)) + ")", formula, pub])
-    path = os.path.join(_out_dir(args), "dof_table.csv")
-    _write_csv(path, ["n_sensors", "family", "split", "dof_formula", "dof_published"], rows)
+    path = _write_csv(args, "dof_table.csv",
+                      ["n_sensors", "family", "split", "dof_formula", "dof_published"], rows)
     for row in rows:
         print(",".join(str(x) for x in row))
     print(f"table written to {path}")
@@ -177,9 +178,8 @@ def cmd_coupling_table(args) -> int:
             leak_tab_cell,
             published,
         ])
-    path = os.path.join(_out_dir(args), "coupling_table.csv")
-    _write_csv(
-        path,
+    path = _write_csv(
+        args, "coupling_table.csv",
         ["n_sensors", "split_optimizer", "leakage_optimizer", "split_tabulated",
          "leakage_tabulated", "leakage_published"],
         rows,
@@ -233,12 +233,12 @@ def _run_doa_trial(trial: int, *, array, truths, snr_list, k_list, seed, lc, gri
 
 
 def _sweep(args, truths: Sequence[float], snr_list: Sequence[float], k_list: Sequence[int],
-           name: str) -> Tuple[List[Dict], str]:
+           name: str) -> List[Dict]:
     """Run the trials of ``resolve`` or ``rmse`` and write ``<name>_trials.jsonl``.
 
     Every setting is checked, and the array, Lc and subarray length are
     resolved, before anything is printed or written, so a rejected sweep
-    leaves stdout empty and no file.  Returns (records, output directory).
+    leaves stdout empty and no file.  Returns the records.
     """
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
@@ -253,6 +253,9 @@ def _sweep(args, truths: Sequence[float], snr_list: Sequence[float], k_list: Seq
     for snr_db in snr_list:
         if math.isnan(snr_db) or snr_db == -math.inf:
             raise ValueError(f"SNR must be a number of dB or inf, got {snr_db}")
+    for flag, values in (("--snr-list", snr_list), ("--snapshots-list", k_list)):
+        if len(set(values)) != len(values):
+            raise ValueError(f"{flag} repeats a sweep point: {list(values)}")
     if min(k_list) < 2:
         raise ValueError(f"snapshot counts must be at least 2, got {min(k_list)}")
     if not (math.isfinite(args.grid_step) and args.grid_step > 0):
@@ -283,16 +286,17 @@ def _sweep(args, truths: Sequence[float], snr_list: Sequence[float], k_list: Seq
     print(f"misses: {misses} of {len(records)} estimates found fewer peaks than sources",
           file=sys.stderr)
 
-    out_dir = _out_dir(args)
-    with open(os.path.join(out_dir, f"{name}_trials.jsonl"), "w", encoding="utf-8") as fh:
+    with open(_out_path(args, f"{name}_trials.jsonl"), "w", encoding="utf-8") as fh:
         for rec in records:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
-    return records, out_dir
+    return records
 
 
 def cmd_resolve(args) -> int:
+    if not (math.isfinite(args.tol_deg) and args.tol_deg >= 0):
+        raise ValueError(f"--tol-deg must be a finite number of degrees >= 0, got {args.tol_deg}")
     truths = sorted(_parse_floats(args.angles))
-    records, out_dir = _sweep(args, truths, [args.snr], [args.snapshots], "resolve")
+    records = _sweep(args, truths, [args.snr], [args.snapshots], "resolve")
     rows = []
     n_ok = 0
     for rec in records:
@@ -302,8 +306,8 @@ def cmd_resolve(args) -> int:
         rows.append([rec["trial"], rec["seed"],
                      ";".join(f"{v:.4f}" for v in rec["estimates"]),
                      f"{rec['rmse']:.6f}" if scored else "nan", int(hit)])
-    path = os.path.join(out_dir, "resolve_summary.csv")
-    _write_csv(path, ["trial", "seed", "estimates_deg", "rmse_deg", "within_tol"], rows)
+    path = _write_csv(args, "resolve_summary.csv",
+                      ["trial", "seed", "estimates_deg", "rmse_deg", "within_tol"], rows)
     print(f"{n_ok}/{len(records)} trials within {args.tol_deg} deg; summary in {path}")
     return 0
 
@@ -313,9 +317,11 @@ def cmd_rmse(args) -> int:
     k_list = _parse_ints(args.snapshots_list)
     if args.angles:
         truths = sorted(_parse_floats(args.angles))
+    elif args.n_sources < 1:
+        raise ValueError(f"--n-sources must give at least one source, got {args.n_sources}")
     else:
         truths = list(np.linspace(-60.0, 60.0, args.n_sources))
-    records, out_dir = _sweep(args, truths, snr_list, k_list, "rmse")
+    records = _sweep(args, truths, snr_list, k_list, "rmse")
     rows = []
     for snr_db in snr_list:
         for k in k_list:
@@ -326,8 +332,8 @@ def cmd_rmse(args) -> int:
                              f"{float(np.median(vals)):.6f}", f"{float(np.mean(vals)):.6f}"])
             else:
                 rows.append([snr_db, k, 0, "nan", "nan"])
-    path = os.path.join(out_dir, "rmse_results.csv")
-    _write_csv(path, ["snr_db", "n_snapshots", "n_trials", "median_rmse_deg", "mean_rmse_deg"], rows)
+    header = ["snr_db", "n_snapshots", "n_trials", "median_rmse_deg", "mean_rmse_deg"]
+    path = _write_csv(args, "rmse_results.csv", header, rows)
     for row in rows:
         print(",".join(str(x) for x in row))
     print(f"results written to {path}")
@@ -338,7 +344,11 @@ def cmd_rmse(args) -> int:
 
 def _load_config(path: str) -> List[str]:
     flags: List[str] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"--config {path}: {exc.strerror}") from None
+    with fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -357,30 +367,20 @@ def _load_config(path: str) -> List[str]:
 
 
 def _expand_config(argv: List[str]) -> List[str]:
-    if "--config" not in argv:
-        return argv
-    i = argv.index("--config")
-    if i + 1 >= len(argv):
-        raise ValueError("--config needs a file path")
-    flags = _load_config(argv[i + 1])
-    rest = argv[:i] + argv[i + 2:]
-    # config flags go right after the subcommand so explicit flags win
-    return rest[:1] + flags + rest[1:]
+    """Replace the first ``--config PATH`` or ``--config=PATH`` with the file's flags.
 
-
-def _add_common_experiment_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, required=True, help="base RNG seed (mandatory)")
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--jobs", type=int, default=1, help="parallel trial workers")
-    p.add_argument("--grid-step", type=float, default=0.05, help="spectrum grid step, degrees")
-    p.add_argument("--subarray-len", type=int, default=None,
-                   help="smoothing subarray length (default: maximal, Lc+1)")
-    p.add_argument("--min-peak-sep", type=float, default=0.5,
-                   help="minimum separation between picked peaks, degrees")
-    p.add_argument("--coupling", action="store_true",
-                   help="apply the default mutual-coupling model")
-    p.add_argument("--out-dir", default=None)
-    p.add_argument("--config", help=argparse.SUPPRESS)
+    No parser declares --config, so argparse rejects any other spelling or a second one.
+    """
+    for i, token in enumerate(argv):
+        flag, eq, path = token.partition("=")
+        if flag == "--config":
+            end = i + 1 if eq else i + 2
+            if end > len(argv):
+                raise ValueError("--config needs a file path")
+            rest = argv[:i] + argv[end:]
+            # config flags go right after the subcommand so explicit flags win
+            return rest[:1] + _load_config(path if eq else argv[i + 1]) + rest[1:]
+    return argv
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -388,10 +388,25 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="sparse-array design and co-array DOA lab")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("design", help="optimize the three-subarray split for N sensors")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out-dir", help=f"output directory (default: ${OUT_DIR_ENV}, then .)")
+
+    sweep = argparse.ArgumentParser(add_help=False, parents=[out])
+    sweep.add_argument("--n-sensors", type=int, required=True)
+    sweep.add_argument("--seed", type=int, required=True, help="base RNG seed (mandatory)")
+    sweep.add_argument("--trials", type=int, default=20)
+    sweep.add_argument("--jobs", type=int, default=1, help="parallel trial workers")
+    sweep.add_argument("--grid-step", type=float, default=0.05, help="spectrum grid step, degrees")
+    sweep.add_argument("--subarray-len", type=int, default=None,
+                       help="smoothing subarray length (default: maximal, Lc+1)")
+    sweep.add_argument("--min-peak-sep", type=float, default=0.5,
+                       help="minimum separation between picked peaks, degrees")
+    sweep.add_argument("--coupling", action="store_true",
+                       help="apply the default mutual-coupling model")
+
+    p = subs.add_parser("design", parents=[out],
+                        help="optimize the three-subarray split for N sensors")
     p.add_argument("n", type=int)
-    p.add_argument("--out-dir", default=None)
-    p.add_argument("--config", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_design)
 
     p = subs.add_parser("coarray", help="co-array multiset and segment report")
@@ -404,37 +419,30 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=sorted(_COARRAY_BUILDERS))
     p.add_argument("--entries", action="store_true", help="include the lag->multiplicity map")
     p.add_argument("--out", help="also write the JSON report here")
-    p.add_argument("--config", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_coarray)
 
-    p = subs.add_parser("dof-table", help="DOF comparison rows (formula vs published)")
+    p = subs.add_parser("dof-table", parents=[out],
+                        help="DOF comparison rows (formula vs published)")
     p.add_argument("n", type=int, nargs="+")
-    p.add_argument("--out-dir", default=None)
-    p.add_argument("--config", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_dof_table)
 
-    p = subs.add_parser("coupling-table", help="coupling-leakage rows (computed vs published)")
+    p = subs.add_parser("coupling-table", parents=[out],
+                        help="coupling-leakage rows (computed vs published)")
     p.add_argument("n", type=int, nargs="+")
-    p.add_argument("--out-dir", default=None)
-    p.add_argument("--config", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_coupling_table)
 
-    p = subs.add_parser("resolve", help="two-source (or more) resolution trials")
-    p.add_argument("--n-sensors", type=int, required=True)
+    p = subs.add_parser("resolve", parents=[sweep], help="two-source (or more) resolution trials")
     p.add_argument("--angles", required=True, help="comma-separated truth angles, degrees")
     p.add_argument("--snr", type=float, default=0.0)
     p.add_argument("--snapshots", type=int, default=10000)
     p.add_argument("--tol-deg", type=float, default=0.4)
-    _add_common_experiment_args(p)
     p.set_defaults(func=cmd_resolve)
 
-    p = subs.add_parser("rmse", help="RMSE sweep over SNR and snapshot counts")
-    p.add_argument("--n-sensors", type=int, required=True)
+    p = subs.add_parser("rmse", parents=[sweep], help="RMSE sweep over SNR and snapshot counts")
     p.add_argument("--n-sources", type=int, default=12)
     p.add_argument("--angles", help="explicit truths (default: uniform in [-60, 60])")
     p.add_argument("--snr-list", default="-7,-1,5,8")
     p.add_argument("--snapshots-list", default="14000")
-    _add_common_experiment_args(p)
     p.set_defaults(func=cmd_rmse)
 
     return parser

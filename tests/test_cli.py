@@ -21,6 +21,25 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+@pytest.mark.parametrize("command, shared", [
+    ([], []),
+    (["design"], ["--out-dir"]),
+    (["coarray"], []),
+    (["dof-table"], ["--out-dir"]),
+    (["coupling-table"], ["--out-dir"]),
+    (["resolve"], ["--out-dir", "--n-sensors", "--seed", "--trials", "--coupling"]),
+    (["rmse"], ["--out-dir", "--n-sensors", "--seed", "--trials", "--coupling"]),
+], ids=["top", "design", "coarray", "dof-table", "coupling-table", "resolve", "rmse"])
+def test_help_renders(capsys, command, shared):
+    with pytest.raises(SystemExit) as exit_info:
+        main([*command, "--help"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(" ".join(["usage: coarraylab", *command]))
+    assert all(flag in out for flag in shared)
+    assert "--config" not in out
+
+
 class TestDesign:
     def test_worked_example(self, capsys, tmp_path):
         code, out, _ = run(capsys, "design", "11", "--out-dir", str(tmp_path))
@@ -303,6 +322,23 @@ class TestSweepValidation:
         assert err.startswith("error: subarray length must lie in (2, 177]")
         assert out == "" and list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("base, flags, message", [
+        (RMSE, ["--snr-list=5,5"], "--snr-list repeats a sweep point"),
+        (RMSE, ["--snr-list=0,-0"], "--snr-list repeats a sweep point"),
+        (RMSE, ["--snapshots-list", "1500,2000,1500"], "--snapshots-list repeats a sweep point"),
+        (RESOLVE, ["--tol-deg=nan"], "--tol-deg"),
+        (RESOLVE, ["--tol-deg=inf"], "--tol-deg"),
+        (RESOLVE, ["--tol-deg=-0.1"], "--tol-deg"),
+        # --n-sources is read only when --angles is absent
+        (RMSE[:5] + RMSE[6:], ["--n-sources", "-1"], "--n-sources must give at least one source"),
+    ], ids=["snr-twice", "snr-signed-zero", "snapshots-twice", "tol-nan", "tol-inf", "tol-negative",
+            "n-sources-negative"])
+    def test_rejected_by_one_command(self, capsys, tmp_path, base, flags, message):
+        code, out, err = run(capsys, *base, *flags, "--out-dir", str(tmp_path))
+        assert code == 2
+        assert err.startswith("error: ") and message in err
+        assert out == "" and list(tmp_path.iterdir()) == []
+
     def test_rmse_needs_a_source(self, capsys, tmp_path):
         code, _, err = run(capsys, *self.RMSE[:5], "--n-sources", "0", "--snr-list", "5",
                            "--trials", "1", "--seed", "7", "--out-dir", str(tmp_path))
@@ -331,6 +367,42 @@ class TestConfig:
             records = [json.loads(line) for line in fh]
         assert len(records) == 1  # flag overrode the config's 3
         assert records[0]["seed"] == 5
+
+    RESOLVE_CFG = ("n-sensors = 7\nangles = -10,10\nsnr = 10\nsnapshots = 1500\n"
+                   "trials = 2\nseed = 5\n")
+
+    def test_config_equals_form_matches_separate_form(self, capsys, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(self.RESOLVE_CFG)
+        runs = []
+        for form in (["--config", str(cfg)], [f"--config={cfg}"]):
+            out_dir = tmp_path / f"run{len(runs)}"
+            code, _, _ = run(capsys, "resolve", *form, "--out-dir", str(out_dir))
+            assert code == 0
+            runs.append({p.name: p.read_bytes() for p in out_dir.iterdir()})
+        assert sorted(runs[0]) == ["resolve_summary.csv", "resolve_trials.jsonl"]
+        assert runs[0]["resolve_trials.jsonl"].count(b"\n") == 2  # the config's trials = 2
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("form", ["--conf", "twice"])
+    def test_other_config_spellings_are_usage_errors(self, capsys, tmp_path, form):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(self.RESOLVE_CFG)
+        out_dir = tmp_path / "out"
+        extra = ["--conf", str(cfg)] if form == "--conf" else ["--config", str(cfg)] * 2
+        # the explicit flags alone make a valid run, so an ignored spelling would write files
+        with pytest.raises(SystemExit) as exit_info:
+            main([*TestSweepValidation.RESOLVE, *extra, "--out-dir", str(out_dir)])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().out == ""
+        assert not out_dir.exists()
+
+    def test_missing_config_file_is_rejected(self, capsys, tmp_path):
+        code, out, err = run(capsys, "design", "9", "--config", str(tmp_path / "missing.cfg"),
+                             "--out-dir", str(tmp_path / "out"))
+        assert code == 2
+        assert err.startswith("error: --config ") and "missing.cfg" in err
+        assert out == "" and not (tmp_path / "out").exists()
 
     def test_config_line_error_is_precise(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"
