@@ -1,7 +1,6 @@
 """Sparse-linear-array design and fourth-order co-array DOA estimation lab."""
 
 from .coarray import (
-    LagMultiset,
     SegmentReport,
     analyze_segment,
     cross_sum,

@@ -36,21 +36,38 @@ OUT_DIR_ENV = "COARRAYLAB_OUT"
 
 def _out_path(args, name: str) -> str:
     out_dir = args.out_dir or os.environ.get(OUT_DIR_ENV) or "."
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"{out_dir}: {exc.strerror}") from None
     return os.path.join(out_dir, name)
 
 
-def _parse_floats(text: str) -> List[float]:
-    return [float(x) for x in text.split(",") if x.strip() != ""]
+def _open_out(path: str, newline: Optional[str] = None):
+    """Open ``path`` for writing; a path that cannot be written is a usage error."""
+    try:
+        return open(path, "w", encoding="utf-8", newline=newline)
+    except OSError as exc:
+        raise ValueError(f"{path}: {exc.strerror}") from None
 
 
-def _parse_ints(text: str) -> List[int]:
-    return [int(x) for x in text.split(",") if x.strip() != ""]
+def _values(convert, form: str, count: Optional[int] = None):
+    """argparse type for a comma-separated list; ``form`` describes it in the error."""
+    def parse(text: str) -> list:
+        error = argparse.ArgumentTypeError(f"expected {form}, got {text!r}")
+        try:
+            values = [convert(x) for x in text.split(",") if x.strip() != ""]
+        except ValueError:
+            raise error from None
+        if count is not None and len(values) != count:
+            raise error
+        return values
+    return parse
 
 
 def _write_csv(args, name: str, header: Sequence[str], rows: Sequence[Sequence]) -> str:
     path = _out_path(args, name)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _open_out(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -63,16 +80,16 @@ def cmd_design(args) -> int:
     result = optimize(args.n)
     p = result.best_params
     array = geo.build_fogna(p)
-    print(f"N={args.n} best split (N1,N2,N3)=({p.n1},{p.n2},{p.n3}) "
-          f"M=({p.m1},{p.m2}) E1={p.e1} E2={p.e2}")
-    print(f"DOF={result.dof_star}")
-    print(f"positions={list(array.positions)}")
-    print(f"aperture={array.aperture}")
     path = _write_csv(
         args, f"design_trace_N{args.n}.csv",
         ["N1", "N2", "N3", "M1", "M2", "E1", "E2", "DOF"],
         [[r.n1, r.n2, r.n3, r.m1, r.m2, r.e1, r.e2, r.dof] for r in result.trace],
     )
+    print(f"N={args.n} best split (N1,N2,N3)=({p.n1},{p.n2},{p.n3}) "
+          f"M=({p.m1},{p.m2}) E1={p.e1} E2={p.e2}")
+    print(f"DOF={result.dof_star}")
+    print(f"positions={list(array.positions)}")
+    print(f"aperture={array.aperture}")
     print(f"trace written to {path}")
     return 0
 
@@ -84,17 +101,14 @@ def _array_from_args(args) -> geo.SensorArray:
     if sum(x is not None for x in picks) != 1:
         raise ValueError("choose exactly one of --positions/--fogna/--split/--cna/--nested")
     if args.positions is not None:
-        return geo.SensorArray(tuple(_parse_ints(args.positions)))
+        return geo.SensorArray(tuple(args.positions))
     if args.fogna is not None:
         return geo.build_fogna(optimize(args.fogna).best_params)
     if args.split is not None:
-        n1, n2, n3 = _parse_ints(args.split)
-        return geo.build_fogna((n1, n2, n3))
+        return geo.build_fogna(tuple(args.split))
     if args.cna is not None:
-        m1, m2 = _parse_ints(args.cna)
-        return geo.build_cna(m1, m2)
-    n1, n2 = _parse_ints(args.nested)
-    return geo.build_nested(n1, n2)
+        return geo.build_cna(*args.cna)
+    return geo.build_nested(*args.nested)
 
 
 _COARRAY_BUILDERS = {
@@ -114,17 +128,17 @@ def cmd_coarray(args) -> int:
         multiset = _COARRAY_BUILDERS[which](array)
         segment = ca.analyze_segment(multiset)
         entry: Dict[str, object] = {
-            "total": multiset.total,
+            "total": multiset.total(),
             "segment": json.loads(segment.to_json()),
         }
         if args.entries:
-            entry["entries"] = {str(l): m for l, m in sorted(multiset.entries.items())}
+            entry["entries"] = {str(l): m for l, m in sorted(multiset.items())}
         report[which] = entry
     text = json.dumps(report, indent=2, sort_keys=True)
-    print(text)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with _open_out(args.out) as fh:
             fh.write(text + "\n")
+    print(text)
     return 0
 
 
@@ -267,6 +281,7 @@ def _sweep(args, truths: Sequence[float], snr_list: Sequence[float], k_list: Seq
     array = geo.build_fogna(optimize(args.n_sensors).best_params)
     lc = ca.analyze_segment(ca.foeca(array)).lc
     sub_len = est.subarray_length(lc, len(truths), args.subarray_len)
+    jsonl_path = _out_path(args, f"{name}_trials.jsonl")
 
     print(f"array positions: {list(array.positions)}")
     print(f"seed: {args.seed}")
@@ -286,7 +301,7 @@ def _sweep(args, truths: Sequence[float], snr_list: Sequence[float], k_list: Seq
     print(f"misses: {misses} of {len(records)} estimates found fewer peaks than sources",
           file=sys.stderr)
 
-    with open(_out_path(args, f"{name}_trials.jsonl"), "w", encoding="utf-8") as fh:
+    with _open_out(jsonl_path) as fh:
         for rec in records:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
     return records
@@ -295,7 +310,7 @@ def _sweep(args, truths: Sequence[float], snr_list: Sequence[float], k_list: Seq
 def cmd_resolve(args) -> int:
     if not (math.isfinite(args.tol_deg) and args.tol_deg >= 0):
         raise ValueError(f"--tol-deg must be a finite number of degrees >= 0, got {args.tol_deg}")
-    truths = sorted(_parse_floats(args.angles))
+    truths = sorted(args.angles)
     records = _sweep(args, truths, [args.snr], [args.snapshots], "resolve")
     rows = []
     n_ok = 0
@@ -313,10 +328,9 @@ def cmd_resolve(args) -> int:
 
 
 def cmd_rmse(args) -> int:
-    snr_list = _parse_floats(args.snr_list)
-    k_list = _parse_ints(args.snapshots_list)
+    snr_list, k_list = args.snr_list, args.snapshots_list
     if args.angles:
-        truths = sorted(_parse_floats(args.angles))
+        truths = sorted(args.angles)
     elif args.n_sources < 1:
         raise ValueError(f"--n-sources must give at least one source, got {args.n_sources}")
     else:
@@ -391,6 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out-dir", help=f"output directory (default: ${OUT_DIR_ENV}, then .)")
 
+    angles = _values(float, "comma-separated angles in degrees")
+
     sweep = argparse.ArgumentParser(add_help=False, parents=[out])
     sweep.add_argument("--n-sensors", type=int, required=True)
     sweep.add_argument("--seed", type=int, required=True, help="base RNG seed (mandatory)")
@@ -410,11 +426,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_design)
 
     p = subs.add_parser("coarray", help="co-array multiset and segment report")
-    p.add_argument("--positions", help="comma-separated integer positions")
+    p.add_argument("--positions", type=_values(int, "comma-separated integers"),
+                   help="comma-separated integer positions")
     p.add_argument("--fogna", type=int, help="optimized design with this many sensors")
-    p.add_argument("--split", help="explicit N1,N2,N3 split")
-    p.add_argument("--cna", help="CNA blocks M1,M2")
-    p.add_argument("--nested", help="two-level nested N1,N2")
+    p.add_argument("--split", type=_values(int, "three integers N1,N2,N3", 3),
+                   help="explicit N1,N2,N3 split")
+    p.add_argument("--cna", type=_values(int, "two integers M1,M2", 2), help="CNA blocks M1,M2")
+    p.add_argument("--nested", type=_values(int, "two integers N1,N2", 2),
+                   help="two-level nested N1,N2")
     p.add_argument("--which", nargs="+", default=["foeca"],
                    choices=sorted(_COARRAY_BUILDERS))
     p.add_argument("--entries", action="store_true", help="include the lag->multiplicity map")
@@ -432,7 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_coupling_table)
 
     p = subs.add_parser("resolve", parents=[sweep], help="two-source (or more) resolution trials")
-    p.add_argument("--angles", required=True, help="comma-separated truth angles, degrees")
+    p.add_argument("--angles", type=angles, required=True,
+                   help="comma-separated truth angles, degrees")
     p.add_argument("--snr", type=float, default=0.0)
     p.add_argument("--snapshots", type=int, default=10000)
     p.add_argument("--tol-deg", type=float, default=0.4)
@@ -440,9 +460,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("rmse", parents=[sweep], help="RMSE sweep over SNR and snapshot counts")
     p.add_argument("--n-sources", type=int, default=12)
-    p.add_argument("--angles", help="explicit truths (default: uniform in [-60, 60])")
-    p.add_argument("--snr-list", default="-7,-1,5,8")
-    p.add_argument("--snapshots-list", default="14000")
+    p.add_argument("--angles", type=angles,
+                   help="explicit truths (default: uniform in [-60, 60])")
+    p.add_argument("--snr-list", type=_values(float, "comma-separated SNRs in dB"),
+                   default="-7,-1,5,8")
+    p.add_argument("--snapshots-list", type=_values(int, "comma-separated integer snapshot counts"),
+                   default="14000")
     p.set_defaults(func=cmd_rmse)
 
     return parser

@@ -1,8 +1,9 @@
 """Exact integer multiset algebra for sum, difference and fourth-order co-arrays.
 
-A co-array is represented as a multiset over integer lags: the map lag ->
-multiplicity, where multiplicity counts ordered sensor-index tuples.  The
-fourth-order co-arrays use the three conjugation cases with virtual
+A co-array is a ``collections.Counter`` of integer lags: lag ->
+multiplicity, where multiplicity counts ordered sensor-index tuples, with
+the lags in ascending order.  One ``np.bincount`` counts every co-array.
+The fourth-order co-arrays use the three conjugation cases with virtual
 positions
 
     case 1:  p1 + p2 + p3 - p4
@@ -16,15 +17,15 @@ multiset-sum (3*N^4 entries in total).
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Set, Tuple
+from typing import Iterable, Sequence, Set, Tuple
 
 import numpy as np
 
 from .geometry import SensorArray
 
 __all__ = [
-    "LagMultiset",
     "SegmentReport",
     "CASE_SIGNS",
     "cross_sum",
@@ -39,40 +40,16 @@ __all__ = [
 CASE_SIGNS = {1: (1, 1, 1, -1), 2: (1, -1, 1, -1), 3: (-1, -1, -1, 1)}
 
 
-def _positions(source) -> Tuple[int, ...]:
+def _positions(source) -> np.ndarray:
     if isinstance(source, SensorArray):
-        return source.positions
-    return tuple(int(p) for p in source)
+        source = source.positions
+    return np.array([int(p) for p in source], dtype=np.int64)
 
 
-@dataclass(frozen=True)
-class LagMultiset:
-    """Multiset of integer lags: lag -> multiplicity over ordered tuples."""
-
-    entries: Mapping[int, int]
-    case_tag: str
-
-    def __contains__(self, lag: int) -> bool:
-        return lag in self.entries
-
-    def multiplicity(self, lag: int) -> int:
-        return self.entries.get(lag, 0)
-
-    @property
-    def total(self) -> int:
-        return sum(self.entries.values())
-
-    @property
-    def underlying_set(self) -> Set[int]:
-        return set(self.entries)
-
-    def to_json(self) -> str:
-        payload = {
-            "case": self.case_tag,
-            "total": self.total,
-            "entries": {str(lag): mult for lag, mult in sorted(self.entries.items())},
-        }
-        return json.dumps(payload, sort_keys=True)
+def _case_signs(case: int) -> Tuple[int, int, int, int]:
+    if case not in CASE_SIGNS:
+        raise ValueError(f"case must be 1, 2 or 3, got {case}")
+    return CASE_SIGNS[case]
 
 
 @dataclass(frozen=True)
@@ -113,21 +90,37 @@ def cross_sum(a: Iterable[int], b: Iterable[int]) -> Set[int]:
     return {x + y for x in a for y in bs}
 
 
-def _pair_multiset(source, sign: int, tag: str) -> LagMultiset:
-    p = np.asarray(_positions(source), dtype=np.int64)
-    lags = (p[:, None] + sign * p[None, :]).ravel()
-    values, counts = np.unique(lags, return_counts=True)
-    return LagMultiset(dict(zip(values.tolist(), counts.tolist())), tag)
+def _signed_sums(p: np.ndarray, signs: Sequence[int], offset: int = 0) -> np.ndarray:
+    """offset + sum_i signs[i] * p[l_i] for every ordered index tuple, flat in C order."""
+    sums = np.full((), offset, dtype=np.int64)
+    for s in signs:
+        sums = np.add.outer(sums, s * p)
+    return sums.ravel()
 
 
-def sum_coarray(source) -> LagMultiset:
+def _count_lags(source, sign_rows: Sequence[Sequence[int]]) -> Counter:
+    """Multiset-sum over ``sign_rows`` of the signed sums of ``source``'s positions.
+
+    One ``np.bincount`` per sign row over [-span, span], span = tuple
+    length * max|p|, so only one row's lag array is alive at a time.
+    """
+    p = _positions(source)
+    span = len(sign_rows[0]) * int(np.abs(p).max(initial=0))
+    counts = np.zeros(2 * span + 1, dtype=np.int64)
+    for signs in sign_rows:
+        counts += np.bincount(_signed_sums(p, signs, span), minlength=len(counts))
+    present = np.flatnonzero(counts)
+    return Counter(dict(zip((present - span).tolist(), counts[present].tolist())))
+
+
+def sum_coarray(source) -> Counter:
     """Second-order sum co-array: multiset of p_i + p_j over ordered pairs."""
-    return _pair_multiset(source, +1, "SCA")
+    return _count_lags(source, [(1, 1)])
 
 
-def diff_coarray(source) -> LagMultiset:
+def diff_coarray(source) -> Counter:
     """Second-order difference co-array: multiset of p_i - p_j over ordered pairs."""
-    return _pair_multiset(source, -1, "DCA")
+    return _count_lags(source, [(1, -1)])
 
 
 def case_virtual_positions(source, case: int) -> np.ndarray:
@@ -139,46 +132,32 @@ def case_virtual_positions(source, case: int) -> np.ndarray:
     cumulant tensors, so this array doubles as the lag lookup for
     redundancy averaging.
     """
-    if case not in CASE_SIGNS:
-        raise ValueError(f"case must be 1, 2 or 3, got {case}")
-    p = np.asarray(_positions(source), dtype=np.int64)
-    s = CASE_SIGNS[case]
-    return (
-        s[0] * p[:, None, None, None]
-        + s[1] * p[None, :, None, None]
-        + s[2] * p[None, None, :, None]
-        + s[3] * p[None, None, None, :]
-    ).ravel()
+    return _signed_sums(_positions(source), _case_signs(case))
 
 
-def foca(source, case: int) -> LagMultiset:
+def foca(source, case: int) -> Counter:
     """Fourth-order co-array for one conjugation case (multiset over N^4 quadruples)."""
-    lags = case_virtual_positions(source, case)
-    values, counts = np.unique(lags, return_counts=True)
-    return LagMultiset(dict(zip(values.tolist(), counts.tolist())), f"FOCA{case}")
+    return _count_lags(source, [_case_signs(case)])
 
 
-def foeca(source) -> LagMultiset:
+def foeca(source) -> Counter:
     """Fourth-order extended co-array: multiset-sum of the three cases.
 
     Multiplicity of each lag is the sum across cases; the total entry
     count is 3*N^4 for an N-sensor array.
     """
-    entries: Dict[int, int] = {}
-    for case in (1, 2, 3):
-        for lag, mult in foca(source, case).entries.items():
-            entries[lag] = entries.get(lag, 0) + mult
-    return LagMultiset(entries, "FOECA")
+    return _count_lags(source, list(CASE_SIGNS.values()))
 
 
 def analyze_segment(lags) -> SegmentReport:
     """Measure the maximal zero-centered hole-free segment and all holes.
 
-    ``lags`` may be a LagMultiset or any iterable of integer lags.
-    Raises if lag 0 is absent (a co-array always contains it; its
-    absence signals a malformed input).
+    ``lags`` is a co-array (a ``Counter`` of lags, which iterates over its
+    distinct lags) or any iterable of integer lags.  Raises if lag 0 is
+    absent (a co-array always contains it; its absence signals a
+    malformed input).
     """
-    present = set(lags.entries) if isinstance(lags, LagMultiset) else set(int(x) for x in lags)
+    present = set(map(int, lags))
     if 0 not in present:
         raise ValueError("lag 0 is missing; segment analysis needs a zero-centered multiset")
     lo, hi = min(present), max(present)

@@ -211,7 +211,7 @@ def test_criterion_04_four_sensor_hole_example(capsys):
     three cases gives the reference side.
     """
     positions = (0, 1, 5, 8)
-    positive = sorted(l for l in foeca(positions).underlying_set if l >= 0)
+    positive = sorted(l for l in foeca(positions) if l >= 0)
     expected = sorted(set(range(22)) | {23, 24})
     reference = sorted(set(range(18)) | {19, 21, 23, 24})
     witnesses = {18: (8, 5, 5, 0), 20: (8, 8, 5, 1)}

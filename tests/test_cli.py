@@ -346,6 +346,47 @@ class TestSweepValidation:
         assert "at least one source" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    ([*TestSweepValidation.RMSE, "--angles=-20,x"],
+     "argument --angles: expected comma-separated angles in degrees, got '-20,x'"),
+    ([*TestSweepValidation.RESOLVE, "--angles=-10,x"],
+     "argument --angles: expected comma-separated angles in degrees, got '-10,x'"),
+    ([*TestSweepValidation.RMSE, "--snapshots-list", "1500.5"],
+     "argument --snapshots-list: expected comma-separated integer snapshot counts, got '1500.5'"),
+    ([*TestSweepValidation.RMSE, "--snr-list=5,x"],
+     "argument --snr-list: expected comma-separated SNRs in dB, got '5,x'"),
+    (["coarray", "--split", "1,2"], "argument --split: expected three integers N1,N2,N3, got '1,2'"),
+    (["coarray", "--nested", "1,2,3"],
+     "argument --nested: expected two integers N1,N2, got '1,2,3'"),
+    (["coarray", "--positions", "0,1.5"],
+     "argument --positions: expected comma-separated integers, got '0,1.5'"),
+    (["coarray", "--cna", "1,x"], "argument --cna: expected two integers M1,M2, got '1,x'"),
+], ids=["rmse-angles", "resolve-angles", "snapshots-list", "snr-list", "split", "nested",
+        "positions", "cna"])
+def test_malformed_list_names_its_flag(capsys, tmp_path, argv, message):
+    out_flag = "--out" if argv[0] == "coarray" else "--out-dir"
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, out_flag, str(tmp_path / "out")])
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert f"coarraylab {argv[0]}: error: {message}" in err
+    assert out == "" and list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, target, reason", [
+    (["coarray", "--fogna", "9", "--out", "{tmp}/missing/x.json"], "{tmp}/missing/x.json",
+     "No such file or directory"),
+    (["design", "9", "--out-dir", "{tmp}/file/x"], "{tmp}/file/x", "Not a directory"),
+    ([*TestSweepValidation.RMSE, "--out-dir", "{tmp}/file/x"], "{tmp}/file/x", "Not a directory"),
+], ids=["coarray-out", "design-out-dir", "rmse-out-dir"])
+def test_unwritable_output_path_is_rejected(capsys, tmp_path, argv, target, reason):
+    (tmp_path / "file").write_text("")
+    code, out, err = run(capsys, *(a.replace("{tmp}", str(tmp_path)) for a in argv))
+    assert code == 2
+    assert err == f"error: {target.replace('{tmp}', str(tmp_path))}: {reason}\n"
+    assert out == "" and sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+
 class TestConfig:
     def test_config_supplies_and_flags_override(self, capsys, tmp_path):
         cfg = tmp_path / "exp.cfg"

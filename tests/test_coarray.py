@@ -1,8 +1,10 @@
 """Co-array multiset algebra, checked against a brute-force oracle."""
 
 import json
+from collections import Counter
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,14 +22,17 @@ from coarraylab.coarray import (
 from coarraylab.geometry import build_cna, build_fogna
 
 
-def oracle_case_multiset(positions, case):
-    """Enumerate every ordered quadruple with plain Python loops."""
-    signs = CASE_SIGNS[case]
+def oracle_multiset(positions, signs):
+    """Enumerate every ordered tuple with plain Python loops."""
     out = {}
-    for quad in product(positions, repeat=4):
-        lag = sum(s * p for s, p in zip(signs, quad))
+    for tup in product(positions, repeat=len(signs)):
+        lag = sum(s * p for s, p in zip(signs, tup))
         out[lag] = out.get(lag, 0) + 1
     return out
+
+
+def oracle_case_multiset(positions, case):
+    return oracle_multiset(positions, CASE_SIGNS[case])
 
 
 def oracle_generators(positions, case):
@@ -47,6 +52,16 @@ def oracle_foeca(positions):
             total[lag] = total.get(lag, 0) + mult
     return total
 
+
+# builder -> the sign rows whose multiset-sum it is
+BUILDERS = {
+    "sca": (sum_coarray, [(1, 1)]),
+    "dca": (diff_coarray, [(1, -1)]),
+    "foca1": (lambda p: foca(p, 1), [CASE_SIGNS[1]]),
+    "foca2": (lambda p: foca(p, 2), [CASE_SIGNS[2]]),
+    "foca3": (lambda p: foca(p, 3), [CASE_SIGNS[3]]),
+    "foeca": (foeca, list(CASE_SIGNS.values())),
+}
 
 small_arrays = st.lists(st.integers(1, 30), min_size=1, max_size=4, unique=True).map(
     lambda tail: tuple(sorted({0, *tail}))
@@ -68,49 +83,49 @@ class TestCrossSum:
 class TestSecondOrder:
     def test_sum_coarray_cna(self):
         m = sum_coarray((0, 1, 3, 5, 6))
-        assert m.underlying_set == set(range(13))
-        assert m.total == 25
+        assert set(m) == set(range(13))
+        assert m.total() == 25
 
     def test_diff_coarray_holefree(self):
         m = diff_coarray((0, 1, 4, 6))
-        assert m.underlying_set == set(range(-6, 7))
+        assert set(m) == set(range(-6, 7))
 
     def test_diff_singleton(self):
         m = diff_coarray((0,))
-        assert dict(m.entries) == {0: 1}
+        assert dict(m) == {0: 1}
 
     def test_sum_multiplicities(self):
         m = sum_coarray((0, 1))
-        assert dict(m.entries) == {0: 1, 1: 2, 2: 1}
+        assert dict(m) == {0: 1, 1: 2, 2: 1}
 
 
 class TestFoca:
     def test_case1_two_sensors(self):
         m = foca((0, 1), 1)
-        assert m.underlying_set == {-1, 0, 1, 2, 3}
-        assert m.total == 16
+        assert set(m) == {-1, 0, 1, 2, 3}
+        assert m.total() == 16
 
     def test_case2_symmetric(self):
         for positions in [(0, 1, 4), (0, 2, 3, 7)]:
             m = foca(positions, 2)
-            assert dict(m.entries) == {-l: c for l, c in m.entries.items()}
+            assert dict(m) == {-l: c for l, c in m.items()}
 
     def test_case3_negates_case1(self):
         positions = (0, 1, 5, 8)
         m1, m3 = foca(positions, 1), foca(positions, 3)
-        assert dict(m3.entries) == {-l: c for l, c in m1.entries.items()}
+        assert dict(m3) == {-l: c for l, c in m1.items()}
 
     def test_matches_oracle(self):
         positions = (0, 2, 3, 7)
         for case in (1, 2, 3):
-            assert dict(foca(positions, case).entries) == oracle_case_multiset(positions, case)
+            assert dict(foca(positions, case)) == oracle_case_multiset(positions, case)
 
     def test_generators(self):
         gens = oracle_generators((0, 1), 1)
         assert sum(len(v) for v in gens.values()) == 16
         # lag 3 = 1+1+1-0 has exactly one generating quadruple
         assert gens[3] == [(1, 1, 1, 0)]
-        assert {lag: len(q) for lag, q in gens.items()} == dict(foca((0, 1), 1).entries)
+        assert {lag: len(q) for lag, q in gens.items()} == dict(foca((0, 1), 1))
 
     def test_bad_case(self):
         with pytest.raises(ValueError):
@@ -122,23 +137,28 @@ class TestFoeca:
         # {0,1,5,8}: every lag in [-21, 21] is hit (e.g. 18 = 8+5+5-0,
         # 20 = 8+8+5-1) and only +/-22 is missing before the +/-24 ends
         m = foeca((0, 1, 5, 8))
-        positive = sorted(l for l in m.underlying_set if l >= 0)
+        positive = sorted(l for l in m if l >= 0)
         assert positive == sorted(set(range(22)) | {23, 24})
-        assert dict(m.entries) == oracle_foeca((0, 1, 5, 8))
+        assert dict(m) == oracle_foeca((0, 1, 5, 8))
 
     def test_singleton(self):
-        assert dict(foeca((0,)).entries) == {0: 3}
+        assert dict(foeca((0,))) == {0: 3}
+
+    def test_empty_array_is_empty_and_has_no_segment(self):
+        assert foeca(()) == Counter()
+        with pytest.raises(ValueError):
+            analyze_segment(foeca(()))
 
     def test_total_is_three_n4(self):
         for positions in [(0, 1), (0, 1, 4), (0, 1, 5, 8)]:
-            assert foeca(positions).total == 3 * len(positions) ** 4
+            assert foeca(positions).total() == 3 * len(positions) ** 4
 
     def test_union_of_cases(self):
         positions = (0, 1, 5, 8)
         union = set()
         for case in (1, 2, 3):
-            union |= foca(positions, case).underlying_set
-        assert foeca(positions).underlying_set == union
+            union |= set(foca(positions, case))
+        assert set(foeca(positions)) == union
 
     def test_case_positions_align_with_multiset(self):
         positions = (0, 1, 4)
@@ -148,7 +168,15 @@ class TestFoeca:
             counts = {}
             for lag in flat.tolist():
                 counts[lag] = counts.get(lag, 0) + 1
-            assert counts == dict(foca(positions, case).entries)
+            assert counts == dict(foca(positions, case))
+
+    def test_case_positions_in_c_order(self):
+        positions = (4, 0, -1)
+        for case, signs in CASE_SIGNS.items():
+            flat = case_virtual_positions(positions, case)
+            assert flat.dtype == np.int64
+            assert flat.tolist() == [sum(s * p for s, p in zip(signs, quad))
+                                     for quad in product(positions, repeat=4)]
 
 
 class TestAnalyzeSegment:
@@ -179,11 +207,7 @@ class TestAnalyzeSegment:
             assert analyze_segment(foeca(positions)).dof % 2 == 1
 
     def test_json_shapes(self):
-        m = foeca((0, 1))
-        rep = analyze_segment(m)
-        loaded = json.loads(m.to_json())
-        assert loaded["total"] == 3 * 16
-        assert loaded["entries"]["0"] == m.multiplicity(0)
+        rep = analyze_segment(foeca((0, 1)))
         seg = json.loads(rep.to_json())
         assert seg["central_consecutive"] == [-rep.lc, rep.lc]
         assert seg["dof"] == rep.dof
@@ -192,14 +216,14 @@ class TestAnalyzeSegment:
 @settings(max_examples=40, deadline=None)
 @given(positions=small_arrays)
 def test_foeca_matches_oracle(positions):
-    assert dict(foeca(positions).entries) == oracle_foeca(positions)
+    assert dict(foeca(positions)) == oracle_foeca(positions)
 
 
 @settings(max_examples=40, deadline=None)
 @given(positions=small_arrays)
 def test_foeca_symmetric_with_multiplicity(positions):
     m = foeca(positions)
-    assert dict(m.entries) == {-l: c for l, c in m.entries.items()}
+    assert dict(m) == {-l: c for l, c in m.items()}
 
 
 @settings(max_examples=40, deadline=None)
@@ -207,6 +231,27 @@ def test_foeca_symmetric_with_multiplicity(positions):
 def test_segment_is_maximal(positions):
     m = foeca(positions)
     rep = analyze_segment(m)
-    lagset = m.underlying_set
+    lagset = set(m)
     assert all(l in lagset for l in range(-rep.lc, rep.lc + 1))
     assert (rep.lc + 1 not in lagset) or (-(rep.lc + 1) not in lagset)
+
+
+@settings(max_examples=40, deadline=None)
+@given(positions=st.lists(st.integers(-30, 30), min_size=1, max_size=6))
+def test_second_order_matches_oracle(positions):
+    assert dict(sum_coarray(positions)) == oracle_multiset(positions, (1, 1))
+    assert dict(diff_coarray(positions)) == oracle_multiset(positions, (1, -1))
+
+
+@pytest.mark.parametrize("positions", [(5, -3, 0), (7, 2, -9, 0, 4)])
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_builders_match_oracle_on_raw_tuples(name, positions):
+    # unsorted positions with negatives exercise the counter's offset
+    build, sign_rows = BUILDERS[name]
+    expected = Counter()
+    for signs in sign_rows:
+        expected.update(oracle_multiset(positions, signs))
+    m = build(positions)
+    assert isinstance(m, Counter)
+    assert dict(m) == dict(expected)
+    assert list(m) == sorted(m)

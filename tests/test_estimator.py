@@ -153,7 +153,7 @@ class TestAssemble:
         multiset = foeca(arr)
         assert meas.lc == analyze_segment(multiset).lc
         for lag in range(-meas.lc, meas.lc + 1):
-            assert meas.counts[lag + meas.lc] == multiset.multiplicity(lag)
+            assert meas.counts[lag + meas.lc] == multiset[lag]
 
     def test_single_broadside_source_constant(self):
         arr = SensorArray((0, 1, 3))
