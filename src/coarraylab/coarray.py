@@ -2,7 +2,8 @@
 
 A co-array is a ``collections.Counter`` of integer lags: lag ->
 multiplicity, where multiplicity counts ordered sensor-index tuples, with
-the lags in ascending order.  One ``np.bincount`` counts every co-array.
+the lags in ascending order.  One counter, ``_count_lags``, counts every
+co-array.
 The fourth-order co-arrays use the three conjugation cases with virtual
 positions
 
@@ -90,9 +91,9 @@ def cross_sum(a: Iterable[int], b: Iterable[int]) -> Set[int]:
     return {x + y for x in a for y in bs}
 
 
-def _signed_sums(p: np.ndarray, signs: Sequence[int], offset: int = 0) -> np.ndarray:
-    """offset + sum_i signs[i] * p[l_i] for every ordered index tuple, flat in C order."""
-    sums = np.full((), offset, dtype=np.int64)
+def _signed_sums(p: np.ndarray, signs: Sequence[int]) -> np.ndarray:
+    """sum_i signs[i] * p[l_i] for every ordered index tuple, flat in C order."""
+    sums = np.zeros((), dtype=np.int64)
     for s in signs:
         sums = np.add.outer(sums, s * p)
     return sums.ravel()
@@ -101,14 +102,21 @@ def _signed_sums(p: np.ndarray, signs: Sequence[int], offset: int = 0) -> np.nda
 def _count_lags(source, sign_rows: Sequence[Sequence[int]]) -> Counter:
     """Multiset-sum over ``sign_rows`` of the signed sums of ``source``'s positions.
 
-    One ``np.bincount`` per sign row over [-span, span], span = tuple
-    length * max|p|, so only one row's lag array is alive at a time.
+    Counts are kept over [-span, span], span = tuple length * max|p|.  Per
+    sign row, one ``np.bincount`` counts the sums of all but the last
+    index (N^(k-1) of them), and that histogram is added once per sensor,
+    shifted by its signed position.  No N^k lag array is ever formed, so
+    the work stays in cache and allocations stay small.
     """
     p = _positions(source)
     span = len(sign_rows[0]) * int(np.abs(p).max(initial=0))
     counts = np.zeros(2 * span + 1, dtype=np.int64)
-    for signs in sign_rows:
-        counts += np.bincount(_signed_sums(p, signs, span), minlength=len(counts))
+    for *head, last in sign_rows:
+        sums = _signed_sums(p, head)
+        low = int(sums.min(initial=0))
+        head_counts = np.bincount(sums - low)
+        for start in (span + low + last * p).tolist():
+            counts[start:start + len(head_counts)] += head_counts
     present = np.flatnonzero(counts)
     return Counter(dict(zip((present - span).tolist(), counts[present].tolist())))
 

@@ -243,10 +243,11 @@ def test_second_order_matches_oracle(positions):
     assert dict(diff_coarray(positions)) == oracle_multiset(positions, (1, -1))
 
 
-@pytest.mark.parametrize("positions", [(5, -3, 0), (7, 2, -9, 0, 4)])
+@pytest.mark.parametrize("positions", [(5, -3, 0), (7, 2, -9, 0, 4), (3, 7, 12), (-4, -1, -4)])
 @pytest.mark.parametrize("name", sorted(BUILDERS))
 def test_builders_match_oracle_on_raw_tuples(name, positions):
-    # unsorted positions with negatives exercise the counter's offset
+    # unsorted, negative, repeated and all-positive positions exercise the
+    # counter's offsets for the histogram and its shifted copies
     build, sign_rows = BUILDERS[name]
     expected = Counter()
     for signs in sign_rows:
