@@ -161,16 +161,21 @@ def analyze_segment(lags) -> SegmentReport:
     """Measure the maximal zero-centered hole-free segment and all holes.
 
     ``lags`` is a co-array (a ``Counter`` of lags, which iterates over its
-    distinct lags) or any iterable of integer lags.  Raises if lag 0 is
-    absent (a co-array always contains it; its absence signals a
-    malformed input).
+    distinct lags) or any iterable of integer lags, read as int64.  Raises
+    if lag 0 is absent (a co-array always contains it; its absence signals
+    a malformed input).  The present lags are marked in one boolean mask
+    over [lo, hi], so time and memory are O(hi - lo), with no Python step
+    per lag.
     """
-    present = set(map(int, lags))
-    if 0 not in present:
+    present = np.fromiter(lags, dtype=np.int64)
+    if not np.any(present == 0):
         raise ValueError("lag 0 is missing; segment analysis needs a zero-centered multiset")
-    lo, hi = min(present), max(present)
-    lc = 0
-    while (lc + 1) in present and -(lc + 1) in present:
-        lc += 1
-    holes = tuple(x for x in range(lo, hi + 1) if x not in present)
-    return SegmentReport(lo, hi, lc, holes)
+    lo, hi = int(present.min()), int(present.max())
+    mask = np.zeros(hi - lo + 1, dtype=bool)
+    mask[present - lo] = True
+    holes = np.flatnonzero(~mask) + lo
+    # 0 is present, so the holes split at it: the nearest on each side bound lc.
+    split = int(np.searchsorted(holes, 0))
+    right = int(holes[split]) if split < len(holes) else hi + 1
+    left = -int(holes[split - 1]) if split > 0 else -lo + 1
+    return SegmentReport(lo, hi, min(left, right) - 1, tuple(holes.tolist()))

@@ -59,8 +59,14 @@ class CouplingModel:
         return self.c1 * cmath.exp(-1j * (separation - 1) * math.pi / 8) / separation
 
     def coefficients(self, upto: int) -> np.ndarray:
-        """Vector [c_0, c_1, ..., c_upto] with the band cutoff applied."""
-        return np.array([self.coefficient(l) for l in range(upto + 1)])
+        """Vector [c_0, c_1, ..., c_upto] with the band cutoff applied.
+
+        Only c_0..c_min(upto, band) are evaluated; separations past the
+        band are zero-filled, not evaluated, in the dtype of the evaluated
+        head (float64 when no complex coefficient is in it).
+        """
+        head = np.array([self.coefficient(l) for l in range(min(upto, self.band) + 1)])
+        return np.concatenate([head, np.zeros(max(upto - self.band, 0), dtype=head.dtype)])
 
 
 def coupling_matrix(source, model: CouplingModel = CouplingModel()) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Command-line interface: outputs, determinism, config handling, exit codes."""
 
 import csv
+import hashlib
 import json
 import os
 
@@ -129,6 +130,27 @@ class TestTables:
         run(capsys, "coupling-table", "9", "10", "--out-dir", str(tmp_path / "b"))
         assert (tmp_path / "a" / "coupling_table.csv").read_bytes() == \
                (tmp_path / "b" / "coupling_table.csv").read_bytes()
+
+
+# sha256 of each output as the per-lag loop of analyze_segment and the
+# per-separation loop of CouplingModel.coefficients wrote it; the vectorised
+# versions must reproduce these bytes.
+@pytest.mark.parametrize("argv, output, digest", [
+    (["coarray", "--fogna", "19", "--which", "sca", "dca", "foca1", "foca2", "foca3",
+      "foeca", "--entries"], None,
+     "b6b5e0c2bcff9b1d92203339d277744955f252c2d68927b476ac2565cc029ef5"),
+    (["coupling-table", "9", "10", "11", "19", "21", "23"], "coupling_table.csv",
+     "83978ab3585bc09399c608fb1f779c0c302983e192dbd851321ae7488813570a"),
+    (["dof-table", "9", "11", "19"], "dof_table.csv",
+     "b9b04080ccdcfc6a904f12d7f1730cb16724247ae775e3fd8248e2bbe03bc5c9"),
+], ids=["coarray-stdout", "coupling-table", "dof-table"])
+def test_output_digest_is_pinned(capsys, tmp_path, argv, output, digest):
+    if output is not None:
+        argv = [*argv, "--out-dir", str(tmp_path)]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    data = out.encode() if output is None else (tmp_path / output).read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 class TestExperiments:

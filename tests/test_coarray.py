@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from coarraylab.coarray import (
     CASE_SIGNS,
+    SegmentReport,
     analyze_segment,
     case_virtual_positions,
     cross_sum,
@@ -45,6 +46,19 @@ def oracle_generators(positions, case):
     return gens
 
 
+def oracle_segment(lags):
+    """Segment analysis with a Python set and one step per lag in the span."""
+    present = set(map(int, lags))
+    if 0 not in present:
+        raise ValueError("lag 0 is missing")
+    lo, hi = min(present), max(present)
+    lc = 0
+    while (lc + 1) in present and -(lc + 1) in present:
+        lc += 1
+    holes = tuple(x for x in range(lo, hi + 1) if x not in present)
+    return SegmentReport(lo, hi, lc, holes)
+
+
 def oracle_foeca(positions):
     total = {}
     for case in (1, 2, 3):
@@ -66,6 +80,22 @@ BUILDERS = {
 small_arrays = st.lists(st.integers(1, 30), min_size=1, max_size=4, unique=True).map(
     lambda tail: tuple(sorted({0, *tail}))
 )
+
+
+@st.composite
+def zero_lag_lists(draw):
+    """Lag lists that contain 0, in any order, with repeated lags.
+
+    Half of them add a hole-free run from 0 that reaches past every
+    scattered lag on one side, so lo or hi ends that run while the other
+    side has holes.
+    """
+    lags = [0, *draw(st.lists(st.integers(-40, 40), max_size=30))]
+    if draw(st.booleans()):
+        side = draw(st.sampled_from((1, -1)))
+        lags += [side * k for k in range(draw(st.integers(41, 60)) + 1)]
+    lags += lags[:draw(st.integers(0, len(lags)))]
+    return draw(st.permutations(lags))
 
 
 class TestCrossSum:
@@ -185,8 +215,15 @@ class TestAnalyzeSegment:
         assert rep.dof == 3 and rep.holes == ()
 
     def test_requires_zero(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="lag 0 is missing"):
             analyze_segment([1, 2, 3])
+
+    def test_empty_input_requires_zero(self):
+        with pytest.raises(ValueError, match="lag 0 is missing"):
+            analyze_segment([])
+
+    def test_zero_alone(self):
+        assert analyze_segment([0]) == SegmentReport(0, 0, 0, ())
 
     def test_four_sensor_example_segment(self):
         rep = analyze_segment(foeca((0, 1, 5, 8)))
@@ -234,6 +271,32 @@ def test_segment_is_maximal(positions):
     lagset = set(m)
     assert all(l in lagset for l in range(-rep.lc, rep.lc + 1))
     assert (rep.lc + 1 not in lagset) or (-(rep.lc + 1) not in lagset)
+
+
+def assert_matches_oracle_segment(report, lags):
+    expected = oracle_segment(lags)
+    assert report == expected
+    # to_json fails on numpy integers, so this also checks every field is an int
+    assert report.to_json() == expected.to_json()
+
+
+@settings(max_examples=60, deadline=None)
+@given(positions=st.lists(st.integers(-25, 25), min_size=1, max_size=5, unique=True))
+def test_segment_of_foeca_matches_oracle(positions):
+    m = foeca(positions)
+    assert_matches_oracle_segment(analyze_segment(m), m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lags=zero_lag_lists())
+def test_segment_of_lag_list_matches_oracle(lags):
+    assert_matches_oracle_segment(analyze_segment(lags), lags)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lags=zero_lag_lists())
+def test_segment_of_generator_matches_oracle(lags):
+    assert_matches_oracle_segment(analyze_segment(l for l in lags), lags)
 
 
 @settings(max_examples=40, deadline=None)

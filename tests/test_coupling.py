@@ -54,6 +54,35 @@ class TestMatrix:
         assert c[1, 2] == pytest.approx(model.coefficient(5))
 
 
+def loop_coefficients(model, upto):
+    """One ``coefficient`` call per separation, band or not."""
+    return np.array([model.coefficient(l) for l in range(upto + 1)])
+
+
+def assert_same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestCoefficientsMatchLoop:
+    @pytest.mark.parametrize("c1", [C1, 0.3], ids=["complex_c1", "real_c1"])
+    @pytest.mark.parametrize("band, upto", [
+        (100, 0), (100, 1), (100, 40), (100, 99), (100, 100), (100, 101), (100, 3000),
+        (0, 0), (0, 1), (0, 7), (1, 0), (1, 1), (1, 9), (5, 3), (5, 5), (5, 6),
+    ])
+    def test_bitwise(self, c1, band, upto):
+        model = CouplingModel(c1=c1, band=band)
+        assert_same_bytes(model.coefficients(upto), loop_coefficients(model, upto))
+
+    @pytest.mark.parametrize("band", [0, 1, 100])
+    def test_matrix_at_wide_aperture(self, band):
+        model = CouplingModel(band=band)
+        p = np.array([0, 150, 3000])
+        sep = np.abs(p[:, None] - p[None, :])
+        want = loop_coefficients(model, int(sep.max()))[sep]
+        assert_same_bytes(coupling_matrix(tuple(p), model), want)
+
+
 class TestLeakage:
     def test_identity_is_zero(self):
         assert coupling_leakage(np.eye(5)) == 0.0
