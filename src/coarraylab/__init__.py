@@ -31,6 +31,6 @@ from .geometry import (
     published_dof,
 )
 from .optimizer import OptimizerResult, dof_bound_ratio, dof_quadratic, optimize
-from .signalsim import SnapshotMatrix, SourceScene, simulate, simulate_sweep, steering_vector
+from .signalsim import SourceScene, simulate, simulate_sweep, steering_vector
 
 __version__ = "0.1.0"

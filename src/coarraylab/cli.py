@@ -223,14 +223,14 @@ def _run_doa_trial(trial: int, *, array, truths, snr_list, k_list, seed, lc, gri
     steering = _steering_grid(sub_len, grid_step)
     scene = sim.SourceScene(truths, seed=(seed, trial))
     records = []
-    for snap in sim.simulate_sweep(array, scene, snr_list, k_list, coupling):
-        meas = est.assemble_foeca(est.sample_cumulants(snap), array, lc=lc)
+    for snr_db, x in sim.simulate_sweep(array, scene, snr_list, k_list, coupling):
+        meas = est.assemble_foeca(est.sample_cumulants(x), array, lc=lc)
         estimate = est.ss_music(meas, scene.n_sources, grid_step_deg=grid_step,
                                 subarray_len=sub_len, min_peak_sep_deg=min_sep,
                                 steering=steering)
         record = {
-            "snr_db": snap.snr_db,
-            "n_snapshots": snap.n_snapshots,
+            "snr_db": snr_db,
+            "n_snapshots": x.shape[1],
             "trial": trial,
             "seed": seed,
             "truths": list(truths),
@@ -258,6 +258,8 @@ def _sweep(args, truths: Sequence[float], snr_list: Sequence[float], k_list: Seq
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be at least 0, got {args.seed}")
     try:
         sim.SourceScene(tuple(truths))
     except ValueError as exc:

@@ -20,7 +20,6 @@ import numpy as np
 
 from .coarray import analyze_segment, case_virtual_positions, foeca
 from .geometry import SensorArray
-from .signalsim import SnapshotMatrix
 
 __all__ = [
     "CumulantBank",
@@ -75,7 +74,7 @@ def sample_cumulants(snapshots) -> CumulantBank:
     case 3 as the conjugate of case 1.  Moments use the biased 1/K
     normalization.
     """
-    x = snapshots.data if isinstance(snapshots, SnapshotMatrix) else np.asarray(snapshots)
+    x = np.asarray(snapshots)
     if x.ndim != 2:
         raise ValueError("snapshots must form an N x K matrix")
     n, k = x.shape

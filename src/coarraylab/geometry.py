@@ -1,9 +1,8 @@
 """Sensor geometry constructors for sparse linear arrays.
 
-All positions are exact integers in units of the base spacing ``d``
-(half a wavelength by default).  Keeping positions integral makes every
-downstream co-array computation exact; the physical spacing is carried
-along as metadata only.
+All positions are exact integers in units of the base spacing ``d``,
+which the steering model fixes at half a wavelength.  Keeping positions
+integral makes every downstream co-array computation exact.
 
 The central family here is the three-subarray geometry built from a
 concatenated nested array (CNA) plus two wide-spaced ULAs, referred to

@@ -20,14 +20,11 @@ from .geometry import SensorArray
 
 __all__ = [
     "SourceScene",
-    "SnapshotMatrix",
     "steering_vector",
     "manifold",
     "simulate",
     "simulate_sweep",
     "complex_gaussian_sampler",
-    "save_snapshots",
-    "load_snapshots",
 ]
 
 
@@ -76,28 +73,6 @@ class SourceScene:
         return self.sampler(rng, shape) * math.sqrt(self.power)
 
 
-@dataclass
-class SnapshotMatrix:
-    """Complex N x K received-signal samples plus provenance."""
-
-    data: np.ndarray
-    array: SensorArray
-    snr_db: float
-    coupled: bool = False
-
-    def __post_init__(self):
-        if self.data.ndim != 2:
-            raise ValueError("snapshot data must be an N x K matrix")
-        if self.data.shape[0] != self.array.n_sensors:
-            raise ValueError("row count must match the sensor count")
-        if self.data.shape[1] < 1:
-            raise ValueError("need at least one snapshot")
-
-    @property
-    def n_snapshots(self) -> int:
-        return self.data.shape[1]
-
-
 def steering_vector(array: SensorArray, theta_deg: float) -> np.ndarray:
     """Steering vector exp(1j*pi*p_n*sin(theta)) under d = lambda/2."""
     if abs(theta_deg) >= 90.0:
@@ -117,8 +92,11 @@ def simulate_sweep(
     snr_list: Sequence[float],
     k_list: Sequence[int],
     coupling: Optional[np.ndarray] = None,
-) -> Iterator[SnapshotMatrix]:
+) -> Iterator[Tuple[float, np.ndarray]]:
     """X = (C.)A.S + noise at every (SNR, K) point, on common random numbers.
+
+    Yields (snr_db, x) pairs, where x is the complex N x K snapshot
+    block of that point.
 
     One draw from ``scene.seed`` serves every point: sources, then
     unit-variance circular complex Gaussian noise (unless every SNR is
@@ -147,7 +125,7 @@ def simulate_sweep(
             x = a @ s[:, :k]
             if not math.isinf(snr_db):
                 x += sigma * unit_noise[:, :k]
-            yield SnapshotMatrix(x, array, snr_db, coupled=coupling is not None)
+            yield snr_db, x
 
 
 def simulate(
@@ -156,31 +134,6 @@ def simulate(
     snr_db: float,
     n_snapshots: int,
     coupling: Optional[np.ndarray] = None,
-) -> SnapshotMatrix:
-    """The single-point case of ``simulate_sweep``: one SNR, one K."""
-    return next(simulate_sweep(array, scene, [snr_db], [n_snapshots], coupling))
-
-
-def save_snapshots(path, snap: SnapshotMatrix) -> None:
-    """Dump snapshots as CSV: an 'N,K,snr_db,coupled' header line, then one
-    row per sensor with K re,im pairs (2K floats, row-major)."""
-    n, k = snap.data.shape
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{n},{k},{snap.snr_db!r},{int(snap.coupled)}\n")
-        for row in snap.data:
-            pairs = np.column_stack([row.real, row.imag]).ravel()
-            fh.write(",".join(repr(float(x)) for x in pairs) + "\n")
-
-
-def load_snapshots(path, array: SensorArray) -> SnapshotMatrix:
-    """Inverse of save_snapshots; the array metadata is supplied by the caller."""
-    with open(path, "r", encoding="utf-8") as fh:
-        n_s, k_s, snr_s, coupled_s = fh.readline().strip().split(",")
-        n, k = int(n_s), int(k_s)
-        data = np.empty((n, k), dtype=complex)
-        for i in range(n):
-            vals = np.array(fh.readline().split(","), dtype=float)
-            if vals.size != 2 * k:
-                raise ValueError(f"row {i} carries {vals.size} floats, expected {2 * k}")
-            data[i] = vals[0::2] + 1j * vals[1::2]
-    return SnapshotMatrix(data, array, float(snr_s), coupled=bool(int(coupled_s)))
+) -> np.ndarray:
+    """The N x K snapshot block of ``simulate_sweep`` at one SNR and one K."""
+    return next(simulate_sweep(array, scene, [snr_db], [n_snapshots], coupling))[1]

@@ -213,12 +213,12 @@ class TestExperiments:
         expected = []
         for trial in range(2):
             scene = sim.SourceScene(truths, seed=(seed, trial))
-            for snap in sim.simulate_sweep(array, scene, snrs, ks, cp.coupling_matrix(array)):
-                meas = est.assemble_foeca(est.sample_cumulants(snap), array, lc=lc)
+            for snr_db, x in sim.simulate_sweep(array, scene, snrs, ks, cp.coupling_matrix(array)):
+                meas = est.assemble_foeca(est.sample_cumulants(x), array, lc=lc)
                 angles = est.ss_music(meas, len(truths)).angles_deg
                 errors = est.match_nearest(angles, truths)
                 expected.append({
-                    "snr_db": snap.snr_db, "n_snapshots": snap.n_snapshots, "trial": trial,
+                    "snr_db": snr_db, "n_snapshots": x.shape[1], "trial": trial,
                     "seed": seed, "truths": truths,
                     "estimates": [round(float(v), 6) for v in angles],
                     "errors": [round(float(v), 6) for v in errors],
@@ -311,6 +311,7 @@ class TestSweepValidation:
         (["--grid-step=inf"], "--grid-step"),
         # rmse takes --snapshots as the unambiguous prefix of --snapshots-list
         (["--snapshots=1"], "snapshot counts must be at least 2"),
+        (["--seed=-1"], "--seed"),
     ])
     def test_rejected_before_any_trial(self, capsys, tmp_path, base, flags, message):
         code, out, err = run(capsys, *base, *flags, "--out-dir", str(tmp_path))

@@ -144,6 +144,11 @@ class TestSampleCumulants:
         with pytest.raises(ValueError):
             sample_cumulants(np.ones((2, 1), dtype=complex))
 
+    @pytest.mark.parametrize("shape", [(64,), (2, 3, 64)], ids=["1-D", "3-D"])
+    def test_rejects_input_that_is_not_a_matrix(self, shape):
+        with pytest.raises(ValueError, match="snapshots must form an N x K matrix"):
+            sample_cumulants(np.ones(shape, dtype=complex))
+
 
 class TestAssemble:
     def test_counts_match_coarray_multiplicity(self):
@@ -220,8 +225,7 @@ class TestSsMusic:
         assert np.allclose(est.angles_deg, truths, atol=0.5)
 
         ula = build_ula(79)
-        snap_u = simulate(ula, SourceScene(truths, seed=21), 10.0, 10_000)
-        x = snap_u.data
+        x = simulate(ula, SourceScene(truths, seed=21), 10.0, 10_000)
         r = x @ x.conj().T / x.shape[1]
         eigvals, eigvecs = np.linalg.eigh(r)
         noise = eigvecs[:, :-2]

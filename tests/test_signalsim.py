@@ -1,4 +1,4 @@
-"""Snapshot simulator: steering, source models, noise calibration, persistence."""
+"""Snapshot simulator: steering, source models, noise calibration, sweep points."""
 
 import math
 
@@ -11,9 +11,7 @@ from coarraylab.geometry import SensorArray, build_ula
 from coarraylab.signalsim import (
     SourceScene,
     complex_gaussian_sampler,
-    load_snapshots,
     manifold,
-    save_snapshots,
     simulate,
     simulate_sweep,
     steering_vector,
@@ -76,18 +74,17 @@ class TestScene:
 class TestSimulate:
     def test_noiseless_single_source_broadside(self):
         arr = build_ula(3)
-        snap = simulate(arr, SourceScene((0.0,), seed=1), math.inf, 64)
-        assert np.allclose(np.abs(snap.data), 1.0)
+        x = simulate(arr, SourceScene((0.0,), seed=1), math.inf, 64)
+        assert x.shape == (3, 64)
+        assert np.allclose(np.abs(x), 1.0)
         # all sensors see an identical +/-1 stream
-        assert np.allclose(snap.data, snap.data[0])
-        assert set(np.unique(snap.data.real)) == {-1.0, 1.0}
+        assert np.allclose(x, x[0])
+        assert set(np.unique(x.real)) == {-1.0, 1.0}
 
     def test_snr_zero_db_noise_variance(self):
         arr = build_ula(4)
         scene = SourceScene((20.0,), seed=11)
-        snap = simulate(arr, scene, 0.0, 50_000)
-        clean = simulate(arr, scene, math.inf, 50_000)
-        noise = snap.data - clean.data
+        noise = simulate(arr, scene, 0.0, 50_000) - simulate(arr, scene, math.inf, 50_000)
         var = np.mean(np.abs(noise) ** 2)
         assert var == pytest.approx(1.0, rel=0.05)
 
@@ -96,7 +93,7 @@ class TestSimulate:
         scene = SourceScene((5.0, -40.0), seed=77)
         a = simulate(arr, scene, 10.0, 128)
         b = simulate(arr, scene, 10.0, 128)
-        assert np.array_equal(a.data, b.data)
+        assert np.array_equal(a, b)
 
     def test_coupling_applied_to_steering(self):
         arr = SensorArray((0, 1))
@@ -105,9 +102,8 @@ class TestSimulate:
         coupled = simulate(arr, scene, math.inf, 16, coupling=c)
         plain = simulate(arr, scene, math.inf, 16)
         a = manifold(arr, scene.angles_deg)
-        s = plain.data[0:1, :] / a[0, 0]  # recover the source stream
-        assert np.allclose(coupled.data, c @ a @ s)
-        assert coupled.coupled and not plain.coupled
+        s = plain[0:1, :] / a[0, 0]  # recover the source stream
+        assert np.allclose(coupled, c @ a @ s)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -125,21 +121,22 @@ class TestSimulateSweep:
     def test_simulate_is_the_first_point(self, coupled):
         c = np.array([[1.0, 0.1, 0, 0], [0.1, 1.0, 0.1, 0], [0, 0.1, 1.0, 0.1], [0, 0, 0.1, 1.0]])
         c = c if coupled else None
-        first = self.points([4.0, -2.0], [900, 300], c)[0]
+        snr_db, first = self.points([4.0, -2.0], [900, 300], c)[0]
         single = simulate(self.ARR, self.SCENE, 4.0, 900, coupling=c)
-        assert np.array_equal(first.data, single.data)
-        assert (first.snr_db, first.n_snapshots, first.coupled) == (4.0, 900, coupled)
+        assert snr_db == 4.0
+        assert first.shape == (4, 900)
+        assert np.array_equal(first, single)
 
     def test_points_in_snr_then_k_order(self):
         pts = self.points([math.inf, 0.0], [50, 200, 100])
-        assert [(p.snr_db, p.n_snapshots) for p in pts] == [
+        assert [(snr_db, x.shape[1]) for snr_db, x in pts] == [
             (math.inf, 50), (math.inf, 200), (math.inf, 100),
             (0.0, 50), (0.0, 200), (0.0, 100),
         ]
 
     def test_noise_scales_per_snr(self):
-        clean, low, high = (p.data for p in self.points([math.inf, 0.0, 10.0], [500]))
-        assert np.array_equal(clean, simulate(self.ARR, self.SCENE, math.inf, 500).data)
+        clean, low, high = (x for _, x in self.points([math.inf, 0.0, 10.0], [500]))
+        assert np.array_equal(clean, simulate(self.ARR, self.SCENE, math.inf, 500))
         # one unit-noise draw, scaled to variance power * 10^(-snr/10)
         np.testing.assert_allclose((high - clean) * math.sqrt(10.0), low - clean,
                                    rtol=1e-12, atol=1e-12)
@@ -154,8 +151,8 @@ class TestSimulateSweep:
         unit = complex_gaussian_sampler(rng, (4, 400))
         a = manifold(self.ARR, self.SCENE.angles_deg)
         sigma = math.sqrt(1.5 * 10.0 ** (-6.0 / 10.0))
-        for snap, k in zip(self.points([6.0], [400, 250]), (400, 250)):
-            assert np.array_equal(snap.data, a @ s[:, :k] + sigma * unit[:, :k])
+        for (_, x), k in zip(self.points([6.0], [400, 250]), (400, 250)):
+            assert np.array_equal(x, a @ s[:, :k] + sigma * unit[:, :k])
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -163,16 +160,6 @@ class TestSimulateSweep:
 
 
 class TestPersistence:
-    def test_round_trip(self, tmp_path):
-        arr = build_ula(3)
-        snap = simulate(arr, SourceScene((12.0, -3.0), seed=8), 5.0, 40)
-        path = tmp_path / "snap.csv"
-        save_snapshots(path, snap)
-        loaded = load_snapshots(path, arr)
-        assert np.array_equal(loaded.data, snap.data)
-        assert loaded.snr_db == snap.snr_db
-        assert loaded.coupled == snap.coupled
-
     def test_gaussian_sampler_unit_power(self):
         rng = np.random.default_rng(0)
         draws = complex_gaussian_sampler(rng, (1, 100_000))
