@@ -34,12 +34,17 @@ from .optimizer import optimize
 OUT_DIR_ENV = "COARRAYLAB_OUT"
 
 
+def _make_dir(path: str) -> None:
+    """Create directory ``path`` if missing; one that cannot be made is a usage error."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"{path}: {exc.strerror}") from None
+
+
 def _out_path(args, name: str) -> str:
     out_dir = args.out_dir or os.environ.get(OUT_DIR_ENV) or "."
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-    except OSError as exc:
-        raise ValueError(f"{out_dir}: {exc.strerror}") from None
+    _make_dir(out_dir)
     return os.path.join(out_dir, name)
 
 
@@ -136,6 +141,7 @@ def cmd_coarray(args) -> int:
         report[which] = entry
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
+        _make_dir(os.path.dirname(args.out) or ".")
         with _open_out(args.out) as fh:
             fh.write(text + "\n")
     print(text)
@@ -206,11 +212,6 @@ def cmd_coupling_table(args) -> int:
 
 # ------------------------------------------------------------ experiments
 
-# One sweep uses one (subarray length, grid step), so each process,
-# serial or pool worker, builds the steering grid once and reuses it.
-_steering_grid = functools.lru_cache(maxsize=1)(est.SteeringGrid.build)
-
-
 def _run_doa_trial(trial: int, *, array, truths, snr_list, k_list, seed, lc, grid_step,
                    sub_len, min_sep, coupling) -> List[Dict]:
     """One Monte-Carlo trial, evaluated at every sweep point.
@@ -220,14 +221,12 @@ def _run_doa_trial(trial: int, *, array, truths, snr_list, k_list, seed, lc, gri
     numbers.  An estimate with fewer peaks than sources is a miss: its
     record keeps the peaks found, with ``errors`` and ``rmse`` null.
     """
-    steering = _steering_grid(sub_len, grid_step)
     scene = sim.SourceScene(truths, seed=(seed, trial))
     records = []
     for snr_db, x in sim.simulate_sweep(array, scene, snr_list, k_list, coupling):
         meas = est.assemble_foeca(est.sample_cumulants(x), array, lc=lc)
         estimate = est.ss_music(meas, scene.n_sources, grid_step_deg=grid_step,
-                                subarray_len=sub_len, min_peak_sep_deg=min_sep,
-                                steering=steering)
+                                subarray_len=sub_len, min_peak_sep_deg=min_sep)
         record = {
             "snr_db": snr_db,
             "n_snapshots": x.shape[1],

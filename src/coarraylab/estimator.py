@@ -12,6 +12,7 @@ co-array half-length L and G grid points.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -58,6 +59,11 @@ class CumulantBank:
         return {1: self.case1, 2: self.case2}[j]
 
 
+# Snapshot columns per block of the moment accumulation: the N^2 x B
+# product arrays of one block are the largest temporaries at any K.
+_BLOCK = 2048
+
+
 def sample_cumulants(snapshots) -> CumulantBank:
     """Estimate the case-1 and case-2 cumulant tensors from an N x K snapshot block.
 
@@ -72,7 +78,9 @@ def sample_cumulants(snapshots) -> CumulantBank:
 
     Only cases 1 and 2 are stored; ``CumulantBank.case(3)`` derives
     case 3 as the conjugate of case 1.  Moments use the biased 1/K
-    normalization.
+    normalization.  They are summed over blocks of B = 2048 snapshot
+    columns, each block adding its N^2 x N^2 moment products, and divided
+    by K once at the end, so memory stays O(N^4 + N^2*B) for any K.
     """
     x = np.asarray(snapshots)
     if x.ndim != 2:
@@ -80,13 +88,24 @@ def sample_cumulants(snapshots) -> CumulantBank:
     n, k = x.shape
     if k < 2:
         raise ValueError(f"need at least 2 snapshots, got {k}")
-    xc = x.conj()
-    ra = (x @ x.T) / k          # E[x_a x_b]
-    rb = (x @ xc.T) / k         # E[x_a conj(x_b)]
-    u = (x[:, None, :] * x[None, :, :]).reshape(n * n, k)    # x_a x_b per snapshot
-    v = (x[:, None, :] * xc[None, :, :]).reshape(n * n, k)   # x_a conj(x_b)
-    m1 = (u @ v.T / k).reshape(n, n, n, n)                   # E[x1 x2 x3 x4*]
-    m2 = (v @ v.T / k).reshape(n, n, n, n)                   # E[x1 x2* x3 x4*]
+    dtype = np.result_type(x.dtype, np.float64)
+    ra = np.zeros((n, n), dtype)              # sum of x_a x_b
+    rb = np.zeros((n, n), dtype)              # sum of x_a conj(x_b)
+    m1 = np.zeros((n * n, n * n), dtype)      # sum of x1 x2 x3 x4*
+    m2 = np.zeros((n * n, n * n), dtype)      # sum of x1 x2* x3 x4*
+    for start in range(0, k, _BLOCK):
+        xb = x[:, start:start + _BLOCK]
+        xcb = xb.conj()
+        u = (xb[:, None, :] * xb[None, :, :]).reshape(n * n, -1)    # x_a x_b per snapshot
+        v = (xb[:, None, :] * xcb[None, :, :]).reshape(n * n, -1)   # x_a conj(x_b)
+        ra += xb @ xb.T
+        rb += xb @ xcb.T
+        m1 += u @ v.T
+        m2 += v @ v.T
+    ra /= k
+    rb /= k
+    m1 = (m1 / k).reshape(n, n, n, n)
+    m2 = (m2 / k).reshape(n, n, n, n)
     c1 = (
         m1
         - ra[:, :, None, None] * rb[None, None, :, :]
@@ -212,6 +231,10 @@ class SteeringGrid:
         return cls(float(grid_step_deg), grid, steering)
 
 
+# One grid per process: a sweep estimates with one (length, step) pair.
+_steering_grid = functools.lru_cache(maxsize=1)(SteeringGrid.build)
+
+
 def subarray_length(lc: int, n_sources: int, subarray_len: Optional[int] = None) -> int:
     """The smoothing subarray length: ``subarray_len``, default Lc+1, checked.
 
@@ -242,8 +265,6 @@ def ss_music(
     grid_step_deg: float = 0.05,
     subarray_len: Optional[int] = None,
     min_peak_sep_deg: float = 0.5,
-    *,
-    steering: Optional[SteeringGrid] = None,
 ) -> DoaEstimate:
     """Spatial-smoothing MUSIC over the virtual-ULA measurement.
 
@@ -264,9 +285,11 @@ def ss_music(
     parabolic-refined off the grid; fewer when the spectrum has fewer
     peaks at least ``min_peak_sep_deg`` apart.
 
-    ``steering`` is a prebuilt grid for this subarray length and grid
-    step, for callers that estimate many times with one setting; by
-    default one is built per call.
+    The scan grid and steering matrix come from a per-process cache of
+    ``SteeringGrid.build`` keyed on (subarray length, grid step), so a
+    sweep that estimates many times with one setting builds them once.
+    The cache keeps that one grid alive: about 315 MB for the 19-sensor
+    design (length 2187) at a 0.02 degree step.
     """
     lc = meas.lc
     if n_sources < 1:
@@ -274,21 +297,15 @@ def ss_music(
     if not (math.isfinite(min_peak_sep_deg) and min_peak_sep_deg >= 0):
         raise ValueError(f"min_peak_sep_deg must be finite and >= 0, got {min_peak_sep_deg}")
     sub = subarray_length(lc, n_sources, subarray_len)
-    if steering is None:
-        steering = SteeringGrid.build(sub, grid_step_deg)
-    elif steering.sub != sub or steering.step_deg != grid_step_deg:
-        raise ValueError(
-            f"prebuilt steering grid is for length {steering.sub} and step "
-            f"{steering.step_deg}, not {sub} and {grid_step_deg}"
-        )
+    grid = _steering_grid(sub, grid_step_deg)
     eigvals, eigvecs = np.linalg.eigh(smoothed_covariance(meas.values, sub))
     rank = int(np.sum(eigvals > max(1e-12 * eigvals[-1], 0.0)))
     signal = eigvecs[:, sub - n_sources:]
-    denom = sub - np.sum(np.abs(signal.conj().T @ steering.steering) ** 2, axis=0)
+    denom = sub - np.sum(np.abs(signal.conj().T @ grid.steering) ** 2, axis=0)
     spec = 1.0 / np.maximum(denom, sub * np.finfo(float).eps)
     min_sep_cells = max(1, int(round(min_peak_sep_deg / grid_step_deg)))
-    peaks = _pick_peaks(steering.grid_deg, spec, n_sources, min_sep_cells)
-    return DoaEstimate(np.sort(np.asarray(peaks)), steering.grid_deg, spec,
+    peaks = _pick_peaks(grid.grid_deg, spec, n_sources, min_sep_cells)
+    return DoaEstimate(np.sort(np.asarray(peaks)), grid.grid_deg, spec,
                        rank_ok=rank >= n_sources)
 
 

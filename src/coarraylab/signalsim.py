@@ -39,6 +39,7 @@ class SourceScene:
 
     ``seed`` is anything ``np.random.default_rng`` takes: an int, or a
     tuple such as (sweep seed, trial index) for one trial of a sweep.
+    A seed it refuses (negative, or not an integer) is rejected here.
 
     ``sampler`` chooses the source model: None draws BPSK, and a
     callable (rng, shape) -> unit-power samples draws custom sources.
@@ -60,6 +61,10 @@ class SourceScene:
             raise ValueError("source angles must lie in (-90, 90) degrees")
         if not (math.isfinite(self.power) and self.power > 0):
             raise ValueError(f"source power must be finite and positive, got {self.power}")
+        try:
+            np.random.default_rng(self.seed)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"seed {self.seed!r} is not an RNG seed: {exc}") from None
         object.__setattr__(self, "angles_deg", angles)
 
     @property

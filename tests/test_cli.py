@@ -397,8 +397,8 @@ def test_malformed_list_names_its_flag(capsys, tmp_path, argv, message):
 
 
 @pytest.mark.parametrize("argv, target, reason", [
-    (["coarray", "--fogna", "9", "--out", "{tmp}/missing/x.json"], "{tmp}/missing/x.json",
-     "No such file or directory"),
+    (["coarray", "--fogna", "9", "--out", "{tmp}/file/x/y.json"], "{tmp}/file/x",
+     "Not a directory"),
     (["design", "9", "--out-dir", "{tmp}/file/x"], "{tmp}/file/x", "Not a directory"),
     ([*TestSweepValidation.RMSE, "--out-dir", "{tmp}/file/x"], "{tmp}/file/x", "Not a directory"),
 ], ids=["coarray-out", "design-out-dir", "rmse-out-dir"])
@@ -408,6 +408,14 @@ def test_unwritable_output_path_is_rejected(capsys, tmp_path, argv, target, reas
     assert code == 2
     assert err == f"error: {target.replace('{tmp}', str(tmp_path))}: {reason}\n"
     assert out == "" and sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+
+def test_coarray_out_creates_missing_directory(capsys, tmp_path):
+    target = tmp_path / "new" / "deeper" / "coarray.json"
+    code, out, err = run(capsys, "coarray", "--fogna", "9", "--which", "foeca",
+                         "--out", str(target))
+    assert code == 0 and err == ""
+    assert target.read_text() == out
 
 
 class TestConfig:

@@ -85,6 +85,19 @@ def noise_subspace_spectrum(values, n_sources, grid):
     return 1.0 / np.sum(np.abs(noise.conj().T @ grid.steering) ** 2, axis=0)
 
 
+def explicit_grid_spectrum(values, n_sources, grid):
+    """The signal-subspace spectrum of ``ss_music``, scanned over ``grid``.
+
+    The reference for the grid that ``ss_music`` takes from its cache:
+    the same arithmetic over an explicitly built ``SteeringGrid``.
+    """
+    sub = grid.sub
+    _, eigvecs = np.linalg.eigh(smoothed_covariance(values, sub))
+    signal = eigvecs[:, sub - n_sources:]
+    denom = sub - np.sum(np.abs(signal.conj().T @ grid.steering) ** 2, axis=0)
+    return 1.0 / np.maximum(denom, sub * np.finfo(float).eps)
+
+
 def fogna_measurement(n_sensors, truths, snr_db, n_snapshots, seed):
     arr = build_fogna(optimize(n_sensors).best_params)
     snap = simulate(arr, SourceScene(truths, seed=seed), snr_db, n_snapshots)
@@ -139,6 +152,31 @@ class TestSampleCumulants:
         v = case_virtual_positions(arr, 2).reshape(2, 2, 2, 2)
         model = -2 * np.exp(1j * np.pi * v * 0.5)
         assert np.allclose(bank.case2, model, atol=1e-12)
+
+    @pytest.mark.parametrize("k", [estimator._BLOCK, 2 * estimator._BLOCK + 37],
+                             ids=["one-block", "ragged-last-block"])
+    def test_blocked_accumulation_matches_naive_oracle(self, k):
+        # test_matches_naive_oracle is the case K < block
+        rng = np.random.default_rng(k)
+        x = rng.standard_normal((3, k)) + 1j * rng.standard_normal((3, k))
+        bank = sample_cumulants(x)
+        for case in (1, 2, 3):
+            assert np.allclose(bank.case(case), naive_cumulants(x, case), rtol=0, atol=1e-12)
+
+    def test_memory_does_not_grow_with_snapshots(self):
+        # the moments are summed block by block, so K = 112000 may not
+        # need much more than K = 14000 beyond the input itself
+        rng = np.random.default_rng(2)
+        peaks = []
+        for k in (14_000, 112_000):
+            x = rng.standard_normal((9, k)) + 1j * rng.standard_normal((9, k))
+            tracemalloc.start()
+            try:
+                sample_cumulants(x)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0], f"peaks {peaks[0] / 1e6:.1f} and {peaks[1] / 1e6:.1f} MB"
 
     def test_rejects_short_input(self):
         with pytest.raises(ValueError):
@@ -348,26 +386,49 @@ class TestSteeringGrid:
             with pytest.raises(ValueError):
                 arr[0] = 0
 
-    def test_prebuilt_grid_gives_identical_estimate(self):
-        arr = SensorArray((0, 1, 2, 5, 8))
-        meas = assemble_foeca(analytic_bank(arr, [-12.0, 10.0]), arr)
-        grid = SteeringGrid.build(meas.lc + 1, 0.05)
-        built = ss_music(meas, 2, grid_step_deg=0.05)
-        shared = ss_music(meas, 2, grid_step_deg=0.05, steering=grid)
-        assert np.array_equal(built.angles_deg, shared.angles_deg)
-        assert np.array_equal(built.spectrum, shared.spectrum)
-        assert shared.grid_deg is grid.grid_deg
-
-    @pytest.mark.parametrize("sub, step", [(26, 0.05), (25, 0.02)])
-    def test_mismatched_grid_is_rejected(self, sub, step):
-        arr = SensorArray((0, 1, 2, 5, 8))
-        meas = assemble_foeca(analytic_bank(arr, [10.0]), arr)
-        assert meas.lc + 1 == 25
-        with pytest.raises(ValueError, match="prebuilt steering grid"):
-            ss_music(meas, 1, grid_step_deg=0.05, steering=SteeringGrid.build(sub, step))
-
     @pytest.mark.parametrize("sub, step", [(0, 0.05), (5, 0.0), (5, -0.1), (5, math.nan),
                                            (5, math.inf)])
     def test_build_rejects_bad_arguments(self, sub, step):
         with pytest.raises(ValueError, match="subarray length|grid step"):
             SteeringGrid.build(sub, step)
+
+
+class TestSteeringGridCache:
+    @staticmethod
+    def measurement():
+        arr = SensorArray((0, 1, 2, 5, 8))
+        meas = assemble_foeca(analytic_bank(arr, [-12.0, 10.0]), arr)
+        assert meas.lc + 1 == 25
+        return meas
+
+    def test_same_setting_reuses_the_grid(self):
+        meas = self.measurement()
+        first = ss_music(meas, 2, grid_step_deg=0.05)
+        second = ss_music(meas, 2, grid_step_deg=0.05)
+        assert second.grid_deg is first.grid_deg
+        assert np.array_equal(first.angles_deg, second.angles_deg)
+        assert np.array_equal(first.spectrum, second.spectrum)
+
+    @pytest.mark.parametrize("sub, step", [(20, 0.05), (25, 0.1)],
+                             ids=["other-length", "other-step"])
+    def test_other_setting_gets_its_own_grid(self, sub, step):
+        meas = self.measurement()
+        default = ss_music(meas, 2, grid_step_deg=0.05)
+        other = ss_music(meas, 2, grid_step_deg=step, subarray_len=sub)
+        assert other.grid_deg is not default.grid_deg
+        oracle = SteeringGrid.build(sub, step)
+        assert np.array_equal(other.grid_deg, oracle.grid_deg)
+        assert np.array_equal(other.spectrum, explicit_grid_spectrum(meas.values, 2, oracle))
+        again = ss_music(meas, 2, grid_step_deg=0.05)
+        assert np.array_equal(again.grid_deg, default.grid_deg)
+        assert np.array_equal(again.spectrum, default.spectrum)
+
+    @pytest.mark.parametrize("n_sensors, truths, snr_db, n_snapshots, grid_step, sub",
+                             NOISY_SCENES)
+    def test_spectrum_matches_explicitly_built_grid(self, n_sensors, truths, snr_db,
+                                                   n_snapshots, grid_step, sub):
+        meas = fogna_measurement(n_sensors, truths, snr_db, n_snapshots, seed=1000)
+        est = ss_music(meas, len(truths), grid_step_deg=grid_step, subarray_len=sub)
+        oracle = SteeringGrid.build(meas.lc + 1 if sub is None else sub, grid_step)
+        assert np.array_equal(est.grid_deg, oracle.grid_deg)
+        assert np.array_equal(est.spectrum, explicit_grid_spectrum(meas.values, len(truths), oracle))

@@ -1,6 +1,7 @@
 """Snapshot simulator: steering, source models, noise calibration, sweep points."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -52,6 +53,13 @@ class TestScene:
     def test_rejects_power_that_is_not_finite_and_positive(self, power):
         with pytest.raises(ValueError, match="source power"):
             SourceScene((0.0,), power=power)
+
+    @pytest.mark.parametrize("seed", [-1, (3, -1), 1.5, "7"],
+                             ids=["negative", "negative-entry", "float", "str"])
+    def test_rejects_seed_the_generator_refuses(self, seed):
+        # a seed is checked when the scene is built, not at its first draw
+        with pytest.raises(ValueError, match=re.escape(f"seed {seed!r} is not an RNG seed")):
+            SourceScene((0.0,), seed=seed)
 
     def test_sampler_draws_are_used_scaled_by_sqrt_power(self):
         scene = SourceScene((0.0, 30.0), power=4.0, sampler=complex_gaussian_sampler)
