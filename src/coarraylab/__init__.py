@@ -1,9 +1,9 @@
 """Sparse-linear-array design and fourth-order co-array DOA estimation lab."""
 
 from .coarray import (
+    LagCounts,
     SegmentReport,
     analyze_segment,
-    cross_sum,
     diff_coarray,
     foca,
     foeca,

@@ -1,9 +1,10 @@
 """Exact integer multiset algebra for sum, difference and fourth-order co-arrays.
 
-A co-array is a ``collections.Counter`` of integer lags: lag ->
-multiplicity, where multiplicity counts ordered sensor-index tuples, with
-the lags in ascending order.  One counter, ``_count_lags``, counts every
-co-array.
+A co-array is a ``LagCounts``: a read-only mapping of integer lag ->
+multiplicity, where multiplicity counts ordered sensor-index tuples,
+backed by one dense int64 array over [min lag, max lag] and iterated in
+ascending lag order.  One counter, ``_count_lags``, counts every
+co-array; Python ints are built only when the lags are read out.
 The fourth-order co-arrays use the three conjugation cases with virtual
 positions
 
@@ -12,24 +13,26 @@ positions
     case 3: -p1 - p2 - p3 + p4
 
 over all N^4 ordered quadruples, and the extended co-array is their
-multiset-sum (3*N^4 entries in total).
+multiset-sum (3*N^4 entries in total).  Case 3 is case 1 negated, so
+its counts are case 1's mirrored about lag 0.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter
+import operator
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Set, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from .geometry import SensorArray
 
 __all__ = [
+    "LagCounts",
     "SegmentReport",
     "CASE_SIGNS",
-    "cross_sum",
     "sum_coarray",
     "diff_coarray",
     "foca",
@@ -53,18 +56,70 @@ def _case_signs(case: int) -> Tuple[int, int, int, int]:
     return CASE_SIGNS[case]
 
 
+class LagCounts(Mapping):
+    """A co-array: lag -> multiplicity, held as one dense read-only array.
+
+    ``counts[i]`` is the multiplicity of lag ``lo + i``.  The array is
+    trimmed to [min lag, max lag] (empty for an empty co-array), and a
+    zero inside it is a hole, which is absent from the mapping.
+    """
+
+    __slots__ = ("lo", "counts")
+
+    def __init__(self, lo: int, counts: np.ndarray):
+        present = np.flatnonzero(counts)
+        if len(present) == 0:
+            lo, counts = 0, counts[:0]
+        else:
+            lo, counts = int(lo) + int(present[0]), counts[present[0]:present[-1] + 1]
+        counts.flags.writeable = False
+        self.lo, self.counts = lo, counts
+
+    def __getitem__(self, lag) -> int:
+        try:
+            i = operator.index(lag) - self.lo
+        except TypeError:
+            raise KeyError(lag) from None
+        if 0 <= i < len(self.counts) and self.counts[i]:
+            return int(self.counts[i])
+        raise KeyError(lag)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter((np.flatnonzero(self.counts) + self.lo).tolist())
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self.counts))
+
+    def items(self) -> List[Tuple[int, int]]:
+        """Ascending (lag, multiplicity) pairs of Python ints."""
+        present = np.flatnonzero(self.counts)
+        return list(zip((present + self.lo).tolist(), self.counts[present].tolist()))
+
+    def total(self) -> int:
+        """Number of ordered index tuples, i.e. the sum of all multiplicities."""
+        return int(self.counts.sum())
+
+
 @dataclass(frozen=True)
 class SegmentReport:
     """Hole structure of a lag multiset around zero.
 
     ``central_consecutive`` is the maximal zero-centered hole-free range
-    [-lc, +lc]; ``holes`` lists every missing lag over the full span.
+    [-lc, +lc]; ``holes`` is a read-only ascending int64 array of every
+    missing lag over the full span [full_min, full_max].  Reports compare
+    by value.
     """
 
     full_min: int
     full_max: int
     lc: int
-    holes: Tuple[int, ...]
+    holes: np.ndarray
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SegmentReport):
+            return NotImplemented
+        return ((self.full_min, self.full_max, self.lc) == (other.full_min, other.full_max, other.lc)
+                and np.array_equal(self.holes, other.holes))
 
     @property
     def central_consecutive(self) -> Tuple[int, int]:
@@ -80,15 +135,9 @@ class SegmentReport:
             "full_max": self.full_max,
             "central_consecutive": list(self.central_consecutive),
             "dof": self.dof,
-            "holes": list(self.holes),
+            "holes": self.holes.tolist(),
         }
         return json.dumps(payload, sort_keys=True)
-
-
-def cross_sum(a: Iterable[int], b: Iterable[int]) -> Set[int]:
-    """Set of all pairwise sums {x + y : x in a, y in b}."""
-    bs = list(b)
-    return {x + y for x in a for y in bs}
 
 
 def _signed_sums(p: np.ndarray, signs: Sequence[int]) -> np.ndarray:
@@ -99,11 +148,12 @@ def _signed_sums(p: np.ndarray, signs: Sequence[int]) -> np.ndarray:
     return sums.ravel()
 
 
-def _count_lags(source, sign_rows: Sequence[Sequence[int]]) -> Counter:
+def _count_lags(source, sign_rows: Sequence[Sequence[int]]) -> Tuple[int, np.ndarray]:
     """Multiset-sum over ``sign_rows`` of the signed sums of ``source``'s positions.
 
-    Counts are kept over [-span, span], span = tuple length * max|p|.  Per
-    sign row, one ``np.bincount`` counts the sums of all but the last
+    Returns (lo, counts) with ``counts[i]`` the multiplicity of lag
+    ``lo + i`` over [-span, span], span = tuple length * max|p|, untrimmed.
+    Per sign row, one ``np.bincount`` counts the sums of all but the last
     index (N^(k-1) of them), and that histogram is added once per sensor,
     shifted by its signed position.  No N^k lag array is ever formed, so
     the work stays in cache and allocations stay small.
@@ -117,18 +167,17 @@ def _count_lags(source, sign_rows: Sequence[Sequence[int]]) -> Counter:
         head_counts = np.bincount(sums - low)
         for start in (span + low + last * p).tolist():
             counts[start:start + len(head_counts)] += head_counts
-    present = np.flatnonzero(counts)
-    return Counter(dict(zip((present - span).tolist(), counts[present].tolist())))
+    return -span, counts
 
 
-def sum_coarray(source) -> Counter:
+def sum_coarray(source) -> LagCounts:
     """Second-order sum co-array: multiset of p_i + p_j over ordered pairs."""
-    return _count_lags(source, [(1, 1)])
+    return LagCounts(*_count_lags(source, [(1, 1)]))
 
 
-def diff_coarray(source) -> Counter:
+def diff_coarray(source) -> LagCounts:
     """Second-order difference co-array: multiset of p_i - p_j over ordered pairs."""
-    return _count_lags(source, [(1, -1)])
+    return LagCounts(*_count_lags(source, [(1, -1)]))
 
 
 def case_virtual_positions(source, case: int) -> np.ndarray:
@@ -143,39 +192,48 @@ def case_virtual_positions(source, case: int) -> np.ndarray:
     return _signed_sums(_positions(source), _case_signs(case))
 
 
-def foca(source, case: int) -> Counter:
+def foca(source, case: int) -> LagCounts:
     """Fourth-order co-array for one conjugation case (multiset over N^4 quadruples)."""
-    return _count_lags(source, [_case_signs(case)])
+    return LagCounts(*_count_lags(source, [_case_signs(case)]))
 
 
-def foeca(source) -> Counter:
+def foeca(source) -> LagCounts:
     """Fourth-order extended co-array: multiset-sum of the three cases.
 
     Multiplicity of each lag is the sum across cases; the total entry
-    count is 3*N^4 for an N-sensor array.
+    count is 3*N^4 for an N-sensor array.  Cases 1 and 2 are counted on
+    the symmetric range [-span, span]; case 3 negates case 1, so its
+    counts are case 1's reversed.
     """
-    return _count_lags(source, list(CASE_SIGNS.values()))
+    _, case1 = _count_lags(source, [CASE_SIGNS[1]])
+    lo, counts = _count_lags(source, [CASE_SIGNS[2]])
+    counts += case1
+    counts += case1[::-1]
+    return LagCounts(lo, counts)
 
 
 def analyze_segment(lags) -> SegmentReport:
     """Measure the maximal zero-centered hole-free segment and all holes.
 
-    ``lags`` is a co-array (a ``Counter`` of lags, which iterates over its
-    distinct lags) or any iterable of integer lags, read as int64.  Raises
-    if lag 0 is absent (a co-array always contains it; its absence signals
-    a malformed input).  The present lags are marked in one boolean mask
-    over [lo, hi], so time and memory are O(hi - lo), with no Python step
-    per lag.
+    ``lags`` is a ``LagCounts``, or any iterable of integer lags (read as
+    int64, repeats allowed), which is first counted into one with one
+    ``np.bincount``.  Raises if lag 0 is absent (a co-array always
+    contains it; its absence signals a malformed input).  The holes are
+    the zeros of the dense counts over [lo, hi], so time and memory are
+    O(hi - lo), with no Python step per lag.
     """
-    present = np.fromiter(lags, dtype=np.int64)
-    if not np.any(present == 0):
+    if not isinstance(lags, LagCounts):
+        present = np.fromiter(lags, dtype=np.int64)
+        lo = int(present.min()) if len(present) else 0
+        lags = LagCounts(lo, np.bincount(present - lo))
+    if 0 not in lags:
         raise ValueError("lag 0 is missing; segment analysis needs a zero-centered multiset")
-    lo, hi = int(present.min()), int(present.max())
-    mask = np.zeros(hi - lo + 1, dtype=bool)
-    mask[present - lo] = True
-    holes = np.flatnonzero(~mask) + lo
+    lo, hi = lags.lo, lags.lo + len(lags.counts) - 1
+    holes = np.flatnonzero(lags.counts == 0)
+    holes += lo
+    holes.flags.writeable = False
     # 0 is present, so the holes split at it: the nearest on each side bound lc.
     split = int(np.searchsorted(holes, 0))
     right = int(holes[split]) if split < len(holes) else hi + 1
     left = -int(holes[split - 1]) if split > 0 else -lo + 1
-    return SegmentReport(lo, hi, min(left, right) - 1, tuple(holes.tolist()))
+    return SegmentReport(lo, hi, min(left, right) - 1, holes)

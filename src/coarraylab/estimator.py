@@ -225,7 +225,9 @@ class SteeringGrid:
         if not (math.isfinite(grid_step_deg) and grid_step_deg > 0):
             raise ValueError(f"grid step must be finite and positive, got {grid_step_deg}")
         grid = np.arange(-90.0 + grid_step_deg, 90.0, grid_step_deg)
-        steering = np.exp(1j * np.pi * np.arange(sub)[:, None] * np.sin(np.deg2rad(grid))[None, :])
+        # The complex phases are exponentiated in place, so the build peaks at the grid's size.
+        steering = np.multiply.outer(1j * np.pi * np.arange(sub), np.sin(np.deg2rad(grid)))
+        np.exp(steering, out=steering)
         grid.flags.writeable = False
         steering.flags.writeable = False
         return cls(float(grid_step_deg), grid, steering)

@@ -1,6 +1,7 @@
 """Co-array multiset algebra, checked against a brute-force oracle."""
 
 import json
+import tracemalloc
 from collections import Counter
 from itertools import product
 
@@ -11,16 +12,22 @@ from hypothesis import strategies as st
 
 from coarraylab.coarray import (
     CASE_SIGNS,
+    LagCounts,
     SegmentReport,
     analyze_segment,
     case_virtual_positions,
-    cross_sum,
     diff_coarray,
     foca,
     foeca,
     sum_coarray,
 )
 from coarraylab.geometry import build_cna, build_fogna
+from coarraylab.optimizer import optimize
+
+
+def cross_sum(a, b):
+    """Set of all pairwise sums {x + y : x in a, y in b}."""
+    return {x + y for x in a for y in b}
 
 
 def oracle_multiset(positions, signs):
@@ -55,8 +62,8 @@ def oracle_segment(lags):
     lc = 0
     while (lc + 1) in present and -(lc + 1) in present:
         lc += 1
-    holes = tuple(x for x in range(lo, hi + 1) if x not in present)
-    return SegmentReport(lo, hi, lc, holes)
+    holes = [x for x in range(lo, hi + 1) if x not in present]
+    return SegmentReport(lo, hi, lc, np.array(holes, dtype=np.int64))
 
 
 def oracle_foeca(positions):
@@ -209,10 +216,50 @@ class TestFoeca:
                                      for quad in product(positions, repeat=4)]
 
 
+class TestLagCounts:
+    def test_dense_counts_are_trimmed_and_read_only(self):
+        m = foeca((0, 1, 5, 8))
+        assert m.lo == -24 and len(m.counts) == 49
+        assert m.counts.dtype == np.int64 and m.counts[0] > 0 and m.counts[-1] > 0
+        assert m.counts[22 - m.lo] == 0
+        with pytest.raises(ValueError):
+            m.counts[0] = 7
+
+    @pytest.mark.parametrize("lag", [22, -22, 25, -25, 10**6, "0"])
+    def test_absent_lag_raises_key_error(self, lag):
+        m = foeca((0, 1, 5, 8))
+        with pytest.raises(KeyError):
+            m[lag]
+        assert lag not in m
+
+    def test_lookup_and_readout_are_python_ints(self):
+        m = sum_coarray((0, 1))
+        assert m[1] == 2 and type(m[1]) is int
+        assert m.items() == [(0, 1), (1, 2), (2, 1)]
+        assert all(type(x) is int for pair in m.items() for x in pair)
+        assert type(m.total()) is int and type(next(iter(m))) is int
+
+    def test_empty_co_array(self):
+        m = foeca(())
+        assert len(m) == 0 and list(m) == [] and m.items() == []
+        assert m.total() == 0 and len(m.counts) == 0
+
+    def test_foeca_peak_memory_at_forty_sensors(self):
+        # building a Counter of every distinct lag peaked at 11.5 MB here
+        array = build_fogna(optimize(40).best_params)
+        tracemalloc.start()
+        try:
+            foeca(array)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 11.5e6, f"foeca peaked at {peak / 1e6:.1f} MB"
+
+
 class TestAnalyzeSegment:
     def test_trivial(self):
         rep = analyze_segment([-1, 0, 1])
-        assert rep.dof == 3 and rep.holes == ()
+        assert rep.dof == 3 and rep.holes.tolist() == []
 
     def test_requires_zero(self):
         with pytest.raises(ValueError, match="lag 0 is missing"):
@@ -228,7 +275,7 @@ class TestAnalyzeSegment:
     def test_four_sensor_example_segment(self):
         rep = analyze_segment(foeca((0, 1, 5, 8)))
         assert rep.central_consecutive == (-21, 21)
-        assert rep.holes == (-22, 22)
+        assert rep.holes.tolist() == [-22, 22]
         assert (rep.full_min, rep.full_max) == (-24, 24)
 
     def test_nine_sensor_design(self):
@@ -273,15 +320,36 @@ def test_segment_is_maximal(positions):
     assert (rep.lc + 1 not in lagset) or (-(rep.lc + 1) not in lagset)
 
 
+raw_arrays = st.lists(st.integers(-25, 25), min_size=1, max_size=5, unique=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(positions=raw_arrays)
+def test_case3_is_case1_with_every_lag_negated(positions):
+    assert dict(foca(positions, 3)) == {-l: c for l, c in foca(positions, 1).items()}
+
+
+@settings(max_examples=40, deadline=None)
+@given(positions=raw_arrays)
+def test_segment_same_from_lag_counts_and_lag_list(positions):
+    m = foeca(positions)
+    direct, listed = analyze_segment(m), analyze_segment(list(m))
+    assert direct == listed
+    assert direct.to_json() == listed.to_json()
+
+
 def assert_matches_oracle_segment(report, lags):
     expected = oracle_segment(lags)
-    assert report == expected
+    assert (report.full_min, report.full_max, report.lc) == (
+        expected.full_min, expected.full_max, expected.lc)
+    assert np.array_equal(report.holes, expected.holes)
+    assert report.holes.dtype == np.int64 and not report.holes.flags.writeable
     # to_json fails on numpy integers, so this also checks every field is an int
     assert report.to_json() == expected.to_json()
 
 
 @settings(max_examples=60, deadline=None)
-@given(positions=st.lists(st.integers(-25, 25), min_size=1, max_size=5, unique=True))
+@given(positions=raw_arrays)
 def test_segment_of_foeca_matches_oracle(positions):
     m = foeca(positions)
     assert_matches_oracle_segment(analyze_segment(m), m)
@@ -316,6 +384,6 @@ def test_builders_match_oracle_on_raw_tuples(name, positions):
     for signs in sign_rows:
         expected.update(oracle_multiset(positions, signs))
     m = build(positions)
-    assert isinstance(m, Counter)
+    assert isinstance(m, LagCounts)
     assert dict(m) == dict(expected)
     assert list(m) == sorted(m)

@@ -386,6 +386,20 @@ class TestSteeringGrid:
             with pytest.raises(ValueError):
                 arr[0] = 0
 
+    @pytest.mark.parametrize("sub, step", [(205, 0.02), (89, 0.05)])
+    def test_build_matches_out_of_place_oracle_and_peaks_at_its_size(self, sub, step):
+        tracemalloc.start()
+        try:
+            grid = SteeringGrid.build(sub, step)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        oracle = np.exp(1j * np.pi * np.arange(sub)[:, None]
+                        * np.sin(np.deg2rad(grid.grid_deg))[None, :])
+        assert grid.steering.tobytes() == oracle.tobytes()
+        # the phases are exponentiated in place: no second grid-sized array
+        assert peak <= 1.2 * grid.steering.nbytes, f"{peak} B for {grid.steering.nbytes} B"
+
     @pytest.mark.parametrize("sub, step", [(0, 0.05), (5, 0.0), (5, -0.1), (5, math.nan),
                                            (5, math.inf)])
     def test_build_rejects_bad_arguments(self, sub, step):
