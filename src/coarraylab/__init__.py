@@ -16,7 +16,6 @@ from .estimator import (
     FoecaMeasurement,
     SteeringGrid,
     assemble_foeca,
-    rmse,
     sample_cumulants,
     ss_music,
 )
@@ -26,11 +25,9 @@ from .geometry import (
     build_cna,
     build_fogna,
     build_nested,
-    build_ula,
     competitor_dof,
-    published_dof,
 )
 from .optimizer import OptimizerResult, dof_bound_ratio, dof_quadratic, optimize
-from .signalsim import SourceScene, simulate, simulate_sweep, steering_vector
+from .signalsim import SourceScene, simulate, simulate_sweep
 
 __version__ = "0.1.0"

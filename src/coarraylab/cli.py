@@ -292,8 +292,10 @@ def _sweep(args, truths: Sequence[float], snr_list: Sequence[float], k_list: Seq
         min_sep=args.min_peak_sep,
         coupling=cp.coupling_matrix(array) if args.coupling else None,
     )
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # a fork-started pool starts all its workers at once, so start no more than there are trials
+    workers = min(args.jobs, args.trials)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             per_trial = list(pool.map(run_trial, range(args.trials)))
     else:
         per_trial = [run_trial(trial) for trial in range(args.trials)]

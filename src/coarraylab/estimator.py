@@ -15,12 +15,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from .coarray import analyze_segment, case_virtual_positions, foeca
 from .geometry import SensorArray
+from .signalsim import manifold
 
 __all__ = [
     "CumulantBank",
@@ -33,7 +34,6 @@ __all__ = [
     "smoothed_covariance",
     "ss_music",
     "match_nearest",
-    "rmse",
 ]
 
 
@@ -205,12 +205,13 @@ def _pick_peaks(grid: np.ndarray, spec: np.ndarray, n_sources: int, min_sep_cell
 class SteeringGrid:
     """Scan grid and virtual-ULA steering matrix for one (length, step) pair.
 
-    ``steering[m, g]`` is exp(j*pi*m*sin(grid_deg[g])) for m < ``sub``.
-    Both arrays are read-only, so one grid can be shared by every
-    estimate with the same subarray length and grid step.
+    ``grid_deg`` steps through the open range (-90, 90) degrees, and
+    ``steering`` is ``signalsim.manifold`` of the ``sub``-element ULA at
+    positions 0..sub-1 over it.  Both arrays are read-only, so one grid
+    can be shared by every estimate with the same subarray length and
+    grid step.
     """
 
-    step_deg: float
     grid_deg: np.ndarray
     steering: np.ndarray
 
@@ -225,12 +226,12 @@ class SteeringGrid:
         if not (math.isfinite(grid_step_deg) and grid_step_deg > 0):
             raise ValueError(f"grid step must be finite and positive, got {grid_step_deg}")
         grid = np.arange(-90.0 + grid_step_deg, 90.0, grid_step_deg)
-        # The complex phases are exponentiated in place, so the build peaks at the grid's size.
-        steering = np.multiply.outer(1j * np.pi * np.arange(sub), np.sin(np.deg2rad(grid)))
-        np.exp(steering, out=steering)
+        # arange can overshoot its stop by rounding (90.00000000000684 at a 0.015 step)
+        grid = grid[grid < 90.0]
+        steering = manifold(SensorArray(tuple(range(sub))), grid)
         grid.flags.writeable = False
         steering.flags.writeable = False
-        return cls(float(grid_step_deg), grid, steering)
+        return cls(grid, steering)
 
 
 # One grid per process: a sweep estimates with one (length, step) pair.
@@ -322,18 +323,3 @@ def match_nearest(estimates: Sequence[float], truths: Sequence[float]) -> np.nda
         errors.append(t - pool.pop(j))
     return np.asarray(errors)
 
-
-def rmse(trials: Sequence[Tuple[Sequence[float], Sequence[float]]]) -> float:
-    """Root-mean-square DOA error over trials, estimates matched to truths.
-
-    sqrt( (1/(T*D)) * sum_t sum_i (theta_hat - theta)^2 ) with greedy
-    nearest-angle matching inside each trial.
-    """
-    if not trials:
-        raise ValueError("need at least one trial")
-    sq = []
-    for estimates, truths in trials:
-        if len(estimates) != len(truths):
-            raise ValueError("each trial needs matched estimate/truth lengths")
-        sq.extend(match_nearest(estimates, truths) ** 2)
-    return math.sqrt(float(np.mean(sq)))

@@ -22,12 +22,10 @@ __all__ = [
     "SensorArray",
     "FognaParams",
     "round_nearest",
-    "build_ula",
     "build_cna",
     "build_nested",
     "build_fogna",
     "competitor_dof",
-    "published_dof",
     "FAMILIES",
     "REFERENCE_DOF_ROWS",
 ]
@@ -124,13 +122,6 @@ class FognaParams:
         return 2 * (2 * self.n3 + 1) * (2 * self.e1 + self.n2 * (2 * self.e1 + 1)) + 1
 
 
-def build_ula(n: int) -> SensorArray:
-    """Uniform linear array with n sensors at 0..n-1."""
-    if n < 1:
-        raise ValueError(f"sensor count must be positive, got {n}")
-    return SensorArray(tuple(range(n)))
-
-
 def _cna_positions(m1: int, m2: int) -> Tuple[int, ...]:
     # Blocks: 1^{m1}, (m1+1)^{m2-1}, 1^{m1} spacings.  m1 = 0 degenerates
     # to a plain ULA of m2 sensors (outer blocks empty).
@@ -191,8 +182,12 @@ FAMILIES = ("FL_NA", "SE_FL_NA", "FO_FRACTAL_NA", "SD_FODC_NA", "FOGNA")
 _ARITY = {"FL_NA": 4, "SE_FL_NA": 4, "FO_FRACTAL_NA": 2, "SD_FODC_NA": 4, "FOGNA": 3}
 
 # Published comparison rows: N -> family -> (split, DOF).  Kept verbatim
-# for table reproduction; see competitor_dof for which of these the
-# closed forms actually reproduce.
+# for table reproduction, misprints included; see competitor_dof for which
+# of these the closed forms actually reproduce.  The 19-sensor FOGNA row
+# prints DOF 4599, which is the FOGNA expression evaluated with a
+# subarray-1 aperture E1 = 17.  No 9-sensor CNA reaches that aperture (the
+# largest is 16, at (M1, M2) = (2, 5)), and the closed form of the printed
+# split (9, 5, 5) is 4335.
 REFERENCE_DOF_ROWS = {
     9: {
         "FL_NA": ((3, 3, 3, 3), 217),
@@ -218,22 +213,6 @@ REFERENCE_DOF_ROWS = {
 }
 
 
-def published_dof(family: str, n_sensors: int) -> Tuple[Tuple[int, ...], int]:
-    """Return the published (split, DOF) row for a family and sensor count.
-
-    Rows are returned verbatim, misprints included.  The 19-sensor FOGNA
-    row prints DOF 4599, which is the FOGNA expression evaluated with a
-    subarray-1 aperture E1 = 17.  No 9-sensor CNA reaches that aperture
-    (the largest is 16, at (M1, M2) = (2, 5)), and the closed form of the
-    printed split (9, 5, 5) is 4335.
-    """
-    family = family.upper().replace("-", "_")
-    try:
-        return REFERENCE_DOF_ROWS[n_sensors][family]
-    except KeyError:
-        raise KeyError(f"no published row for {family} with {n_sensors} sensors") from None
-
-
 def competitor_dof(family: str, split: Sequence[int], c_t0: int = 1) -> int:
     """Evaluate the published closed-form DOF expression for an array family.
 
@@ -246,7 +225,7 @@ def competitor_dof(family: str, split: Sequence[int], c_t0: int = 1) -> int:
     where 253 is tabulated); the FO_FRACTAL_NA form carries the free
     constant ``c_t0`` and only yields an integer for some seeds.  FL_NA
     and FOGNA forms reproduce their rows (FOGNA: up to the known
-    19-sensor misprint, see published_dof).
+    19-sensor misprint, see REFERENCE_DOF_ROWS).
     """
     family = family.upper().replace("-", "_")
     if family not in FAMILIES:

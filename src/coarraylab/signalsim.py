@@ -20,7 +20,6 @@ from .geometry import SensorArray
 
 __all__ = [
     "SourceScene",
-    "steering_vector",
     "manifold",
     "simulate",
     "simulate_sweep",
@@ -78,17 +77,20 @@ class SourceScene:
         return self.sampler(rng, shape) * math.sqrt(self.power)
 
 
-def steering_vector(array: SensorArray, theta_deg: float) -> np.ndarray:
-    """Steering vector exp(1j*pi*p_n*sin(theta)) under d = lambda/2."""
-    if abs(theta_deg) >= 90.0:
-        raise ValueError(f"angle must lie in (-90, 90) degrees, got {theta_deg}")
-    p = np.asarray(array.positions)
-    return np.exp(1j * np.pi * p * math.sin(math.radians(theta_deg)))
-
-
 def manifold(array: SensorArray, thetas_deg: Sequence[float]) -> np.ndarray:
-    """N x D matrix of steering vectors."""
-    return np.stack([steering_vector(array, t) for t in thetas_deg], axis=1)
+    """N x D matrix of steering vectors exp(1j*pi*p_n*sin(theta_d)) under d = lambda/2.
+
+    This is the one steering model: the simulator applies it to the
+    physical array and co-array MUSIC to its virtual ULA.  The phases are
+    exponentiated in place, so a call peaks at the size of its result.
+    """
+    thetas = np.asarray(thetas_deg, dtype=float)
+    inside = np.abs(thetas) < 90.0
+    if not inside.all():
+        raise ValueError(f"angles must lie in (-90, 90) degrees, got {thetas[~inside][0]}")
+    a = np.multiply.outer(1j * np.pi * np.asarray(array.positions), np.sin(np.deg2rad(thetas)))
+    np.exp(a, out=a)
+    return a
 
 
 def simulate_sweep(

@@ -45,8 +45,8 @@ from coarraylab.cli import main as cli_main
 from coarraylab.coarray import analyze_segment, foeca
 from coarraylab.coupling import REFERENCE_LEAKAGE, CouplingModel, coupling_leakage, coupling_matrix
 from coarraylab.estimator import match_nearest, sample_cumulants
-from coarraylab.geometry import (REFERENCE_DOF_ROWS, FognaParams, build_cna, build_fogna, build_ula,
-                                competitor_dof)
+from coarraylab.geometry import (REFERENCE_DOF_ROWS, FognaParams, SensorArray, build_cna,
+                                build_fogna, competitor_dof)
 from coarraylab.optimizer import dof_bound_ratio, optimize
 
 # Signs of the three fourth-order cases (p1+p2+p3-p4, p1-p2+p3-p4,
@@ -112,7 +112,7 @@ def test_criterion_01_design_table_rows(capsys, tmp_path):
     # the misprint: 4599 is the same expression one aperture step higher,
     # but no 9-sensor CNA (M1 = 1..4) or ULA (M1 = 0) has an aperture
     # above 16, and no 19-sensor split and CNA block gets past 4335
-    nine_sensor_apertures = [build_ula(9).aperture] + [
+    nine_sensor_apertures = [SensorArray(tuple(range(9))).aperture] + [
         build_cna(m1, 9 - 2 * m1).aperture for m1 in range(1, 5)]
     family_max = max(fogna_closed_form(p.n2, p.n3, p.e1) for p in fogna_family(19))
     ok = (got == expected and elapsed < 1.0 and expected[19][1] == 4335

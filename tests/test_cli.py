@@ -3,10 +3,13 @@
 import csv
 import hashlib
 import json
+import math
 import os
 
+import numpy as np
 import pytest
 
+from coarraylab import cli
 from coarraylab import coarray as ca
 from coarraylab import coupling as cp
 from coarraylab import estimator as est
@@ -200,6 +203,37 @@ class TestExperiments:
         assert (tmp_path / "serial" / "rmse_trials.jsonl").read_bytes() == \
                (tmp_path / "par" / "rmse_trials.jsonl").read_bytes()
 
+    def test_pool_starts_no_more_workers_than_trials(self, capsys, tmp_path, monkeypatch):
+        # a fork-started pool starts all its workers at once; record the
+        # worker counts asked for and map serially, so no process starts
+        asked = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, iterable):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        args = ["rmse", "--n-sensors", "7", "--n-sources", "2", "--snr-list", "5",
+                "--snapshots-list", "1500", "--grid-step", "1.2", "--seed", "7"]
+        outputs = {}
+        for trials, jobs in (("2", "64"), ("3", "2"), ("1", "64"), ("2", "1")):
+            out_dir = tmp_path / f"t{trials}j{jobs}"
+            code, _, _ = run(capsys, *args, "--trials", trials, "--jobs", jobs,
+                             "--out-dir", str(out_dir))
+            assert code == 0
+            outputs[trials, jobs] = (out_dir / "rmse_trials.jsonl").read_bytes()
+        assert asked == [2, 2]
+        assert outputs["2", "64"] == outputs["2", "1"]
+
     def test_rmse_records_match_the_library_path(self, capsys, tmp_path):
         truths, snrs, ks, seed = [-30.0, 5.0, 40.0], [0.0, 10.0], [1500, 3000], 23
         code, _, _ = run(capsys, "rmse", "--n-sensors", "7", "--angles=-30,5,40",
@@ -222,7 +256,7 @@ class TestExperiments:
                     "seed": seed, "truths": truths,
                     "estimates": [round(float(v), 6) for v in angles],
                     "errors": [round(float(v), 6) for v in errors],
-                    "rmse": round(float(est.rmse([(angles, truths)])), 6),
+                    "rmse": round(math.sqrt(float(np.mean(errors ** 2))), 6),
                 })
         assert [(r["snr_db"], r["n_snapshots"]) for r in expected] == [
             (snr, k) for snr in snrs for k in ks] * 2

@@ -19,12 +19,11 @@ from coarraylab.estimator import (
     SteeringGrid,
     assemble_foeca,
     match_nearest,
-    rmse,
     sample_cumulants,
     smoothed_covariance,
     ss_music,
 )
-from coarraylab.geometry import SensorArray, build_fogna, build_ula
+from coarraylab.geometry import SensorArray, build_fogna
 from coarraylab.optimizer import optimize
 from coarraylab.signalsim import SourceScene, manifold, simulate
 
@@ -140,7 +139,7 @@ class TestSampleCumulants:
             assert np.max(np.abs(bank.case(case))) < 0.05
 
     def test_case3_is_conjugate_of_case1(self):
-        arr = build_ula(3)
+        arr = SensorArray((0, 1, 2))
         snap = simulate(arr, SourceScene((25.0,), seed=4), 5.0, 2000)
         bank = sample_cumulants(snap)
         assert np.array_equal(bank.case(3), bank.case1.conj())
@@ -262,7 +261,7 @@ class TestSsMusic:
         est = ss_music(meas, 2, subarray_len=79)
         assert np.allclose(est.angles_deg, truths, atol=0.5)
 
-        ula = build_ula(79)
+        ula = SensorArray(tuple(range(79)))
         x = simulate(ula, SourceScene(truths, seed=21), 10.0, 10_000)
         r = x @ x.conj().T / x.shape[1]
         eigvals, eigvecs = np.linalg.eigh(r)
@@ -318,26 +317,11 @@ class TestSignalSubspaceScan:
 
 
 class TestRmse:
-    def test_exact_estimates(self):
-        assert rmse([([1.0, 2.0], [1.0, 2.0])]) == 0.0
-
-    def test_single_degree_error(self):
-        assert rmse([([1.0], [0.0])]) == pytest.approx(1.0)
-
-    def test_two_trials(self):
-        assert rmse([([0.0], [0.0]), ([2.0], [0.0])]) == pytest.approx(math.sqrt(2.0))
+    """The nearest-angle matching behind every trial's RMSE."""
 
     def test_matching_is_nearest(self):
         errors = match_nearest([9.0, 1.1], [1.0, 10.0])
         assert errors == pytest.approx([-0.1, 1.0])
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            rmse([])
-
-    def test_rejects_length_mismatch(self):
-        with pytest.raises(ValueError):
-            rmse([([1.0], [1.0, 2.0])])
 
 
 class TestSmoothedCovariance:
@@ -399,6 +383,22 @@ class TestSteeringGrid:
         assert grid.steering.tobytes() == oracle.tobytes()
         # the phases are exponentiated in place: no second grid-sized array
         assert peak <= 1.2 * grid.steering.nbytes, f"{peak} B for {grid.steering.nbytes} B"
+
+    @pytest.mark.parametrize("step", [0.015, 0.075, 1.2, 0.02, 0.05])
+    def test_grid_lies_inside_the_open_range(self, step):
+        # arange overshoots 90 at the first three steps; the scan must not reach endfire
+        grid = SteeringGrid.build(3, step)
+        assert grid.grid_deg.size == round(180 / step) - 1
+        assert -90.0 < grid.grid_deg[0] and grid.grid_deg[-1] < 90.0
+        meas = TestSteeringGridCache.measurement()
+        assert ss_music(meas, 2, grid_step_deg=step).grid_deg[-1] < 90.0
+
+    @pytest.mark.parametrize("sub, step", [(205, 0.02), (89, 0.05), (372, 0.02), (1, 1.0),
+                                           (7, 60.0)])
+    def test_steering_is_the_virtual_ula_manifold(self, sub, step):
+        grid = SteeringGrid.build(sub, step)
+        ula = manifold(SensorArray(tuple(range(sub))), grid.grid_deg)
+        assert grid.steering.tobytes() == ula.tobytes()
 
     @pytest.mark.parametrize("sub, step", [(0, 0.05), (5, 0.0), (5, -0.1), (5, math.nan),
                                            (5, math.inf)])

@@ -6,14 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coarraylab.geometry import (
+    REFERENCE_DOF_ROWS,
     FognaParams,
     SensorArray,
     build_cna,
     build_fogna,
     build_nested,
-    build_ula,
     competitor_dof,
-    published_dof,
     round_nearest,
 )
 
@@ -128,9 +127,6 @@ class TestFogna:
 
 
 class TestOtherBuilders:
-    def test_ula(self):
-        assert build_ula(4).positions == (0, 1, 2, 3)
-
     def test_nested_examples(self):
         assert build_nested(3, 3).positions == (0, 1, 2, 3, 7, 11)
         assert build_nested(1, 1).positions == (0, 1)
@@ -143,8 +139,6 @@ class TestOtherBuilders:
         assert diffs >= set(range(-11, 12))
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            build_ula(0)
         with pytest.raises(ValueError):
             build_nested(0, 2)
 
@@ -162,7 +156,7 @@ class TestCompetitorDof:
         # the printed closed form does not reproduce its own table rows;
         # the evaluator stays literal and the rows stay available separately
         assert competitor_dof("SE_FL_NA", (3, 3, 3, 2)) == 109
-        assert published_dof("SE_FL_NA", 9) == ((3, 3, 3, 2), 253)
+        assert REFERENCE_DOF_ROWS[9]["SE_FL_NA"] == ((3, 3, 3, 2), 253)
         assert competitor_dof("SE_FL_NA", (3, 3, 3, 2)) != 253
 
     def test_fogna_rows(self):

@@ -8,36 +8,55 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coarraylab.geometry import SensorArray, build_ula
+from coarraylab.geometry import SensorArray, build_fogna
+from coarraylab.optimizer import optimize
 from coarraylab.signalsim import (
     SourceScene,
     complex_gaussian_sampler,
     manifold,
     simulate,
     simulate_sweep,
-    steering_vector,
 )
+
+
+def per_angle_manifold(array, thetas_deg):
+    """Oracle: the steering model one angle at a time, stacked into columns."""
+    p = np.asarray(array.positions)
+    return np.stack([np.exp(1j * np.pi * p * math.sin(math.radians(t))) for t in thetas_deg],
+                    axis=1)
 
 
 class TestSteering:
     def test_broadside_all_ones(self):
         arr = SensorArray((0, 1, 5, 9))
-        assert np.allclose(steering_vector(arr, 0.0), 1.0)
+        assert np.allclose(manifold(arr, [0.0]), 1.0)
 
     def test_thirty_degrees(self):
-        v = steering_vector(SensorArray((0, 1)), 30.0)
+        v = manifold(SensorArray((0, 1)), [30.0])[:, 0]
         assert v[0] == pytest.approx(1.0)
         assert v[1] == pytest.approx(1j)
 
     def test_rejects_endfire(self):
-        with pytest.raises(ValueError):
-            steering_vector(SensorArray((0, 1)), 90.0)
+        # any angle of the vector at or past endfire, or not a number
+        for thetas in ([90.0], [10.0, -90.0], [0.0, 90.00000000000684], [math.nan]):
+            with pytest.raises(ValueError, match=r"\(-90, 90\)"):
+                manifold(SensorArray((0, 1)), thetas)
 
     @settings(max_examples=30, deadline=None)
     @given(theta=st.floats(-89.9, 89.9), pos=st.integers(0, 300))
     def test_unit_modulus(self, theta, pos):
         arr = SensorArray((0, pos + 1))
-        assert np.allclose(np.abs(steering_vector(arr, theta)), 1.0)
+        assert np.allclose(np.abs(manifold(arr, [theta])), 1.0)
+
+    @pytest.mark.parametrize("n", [7, 9, 19])
+    def test_matches_per_angle_oracle_bitwise(self, n):
+        arr = build_fogna(optimize(n).best_params)
+        rng = np.random.default_rng(n)
+        for thetas in (np.linspace(-60.0, 60.0, 12), (-0.8, 0.8), (-89.999, 0.0, 89.999),
+                       rng.uniform(-89.9, 89.9, 40)):
+            a = manifold(arr, thetas)
+            assert a.shape == (n, len(thetas))
+            assert a.tobytes() == per_angle_manifold(arr, thetas).tobytes()
 
 
 class TestScene:
@@ -81,7 +100,7 @@ class TestScene:
 
 class TestSimulate:
     def test_noiseless_single_source_broadside(self):
-        arr = build_ula(3)
+        arr = SensorArray((0, 1, 2))
         x = simulate(arr, SourceScene((0.0,), seed=1), math.inf, 64)
         assert x.shape == (3, 64)
         assert np.allclose(np.abs(x), 1.0)
@@ -90,14 +109,14 @@ class TestSimulate:
         assert set(np.unique(x.real)) == {-1.0, 1.0}
 
     def test_snr_zero_db_noise_variance(self):
-        arr = build_ula(4)
+        arr = SensorArray((0, 1, 2, 3))
         scene = SourceScene((20.0,), seed=11)
         noise = simulate(arr, scene, 0.0, 50_000) - simulate(arr, scene, math.inf, 50_000)
         var = np.mean(np.abs(noise) ** 2)
         assert var == pytest.approx(1.0, rel=0.05)
 
     def test_deterministic_given_seed(self):
-        arr = build_ula(3)
+        arr = SensorArray((0, 1, 2))
         scene = SourceScene((5.0, -40.0), seed=77)
         a = simulate(arr, scene, 10.0, 128)
         b = simulate(arr, scene, 10.0, 128)
@@ -115,7 +134,7 @@ class TestSimulate:
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            simulate(build_ula(2), SourceScene((0.0,), seed=1), 0.0, 0)
+            simulate(SensorArray((0, 1)), SourceScene((0.0,), seed=1), 0.0, 0)
 
 
 class TestSimulateSweep:
