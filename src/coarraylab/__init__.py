@@ -14,7 +14,6 @@ from .estimator import (
     CumulantBank,
     DoaEstimate,
     FoecaMeasurement,
-    SteeringGrid,
     assemble_foeca,
     sample_cumulants,
     ss_music,

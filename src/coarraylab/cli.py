@@ -249,9 +249,11 @@ def _sweep(args, truths: Sequence[float], snr_list: Sequence[float], k_list: Seq
            name: str) -> List[Dict]:
     """Run the trials of ``resolve`` or ``rmse`` and write ``<name>_trials.jsonl``.
 
-    Every setting is checked, and the array, Lc and subarray length are
-    resolved, before anything is printed or written, so a rejected sweep
-    leaves stdout empty and no file.  Returns the records.
+    Every setting is checked, and the array, Lc, subarray length and scan
+    grid are resolved, before anything is printed or written, so a
+    rejected sweep leaves stdout empty and no file.  The grid stays in
+    ``steering_grid``'s cache, which forked ``--jobs`` workers inherit.
+    Returns the records.
     """
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
@@ -273,15 +275,16 @@ def _sweep(args, truths: Sequence[float], snr_list: Sequence[float], k_list: Seq
             raise ValueError(f"{flag} repeats a sweep point: {list(values)}")
     if min(k_list) < 2:
         raise ValueError(f"snapshot counts must be at least 2, got {min(k_list)}")
-    if not (math.isfinite(args.grid_step) and args.grid_step > 0):
-        raise ValueError(f"--grid-step must be a finite number of degrees > 0, "
-                         f"got {args.grid_step}")
     if not (math.isfinite(args.min_peak_sep) and args.min_peak_sep >= 0):
         raise ValueError(f"--min-peak-sep must be a finite number of degrees >= 0, "
                          f"got {args.min_peak_sep}")
     array = geo.build_fogna(optimize(args.n_sensors).best_params)
     lc = ca.analyze_segment(ca.foeca(array)).lc
     sub_len = est.subarray_length(lc, len(truths), args.subarray_len)
+    try:
+        est.steering_grid(sub_len, args.grid_step)
+    except (ValueError, MemoryError) as exc:
+        raise ValueError(f"--grid-step {args.grid_step}: {exc}") from None
     jsonl_path = _out_path(args, f"{name}_trials.jsonl")
 
     print(f"array positions: {list(array.positions)}")

@@ -4,7 +4,10 @@ A co-array is a ``LagCounts``: a read-only mapping of integer lag ->
 multiplicity, where multiplicity counts ordered sensor-index tuples,
 backed by one dense int64 array over [min lag, max lag] and iterated in
 ascending lag order.  One counter, ``_count_lags``, counts every
-co-array; Python ints are built only when the lags are read out.
+co-array, and it is the only code that counts lags: ``analyze_segment``
+reads a ``LagCounts``, and the estimator's redundancy averaging divides
+by the counts of ``foeca``.  Python ints are built only when the lags
+are read out.
 The fourth-order co-arrays use the three conjugation cases with virtual
 positions
 
@@ -148,36 +151,36 @@ def _signed_sums(p: np.ndarray, signs: Sequence[int]) -> np.ndarray:
     return sums.ravel()
 
 
-def _count_lags(source, sign_rows: Sequence[Sequence[int]]) -> Tuple[int, np.ndarray]:
-    """Multiset-sum over ``sign_rows`` of the signed sums of ``source``'s positions.
+def _count_lags(source, signs: Sequence[int]) -> Tuple[int, np.ndarray]:
+    """Multiset of the signed sums ``sum_i signs[i] * p[l_i]`` of ``source``'s positions.
 
     Returns (lo, counts) with ``counts[i]`` the multiplicity of lag
-    ``lo + i`` over [-span, span], span = tuple length * max|p|, untrimmed.
-    Per sign row, one ``np.bincount`` counts the sums of all but the last
-    index (N^(k-1) of them), and that histogram is added once per sensor,
+    ``lo + i`` over [-span, span], span = len(signs) * max|p|, untrimmed.
+    One ``np.bincount`` counts the sums of all but the last index
+    (N^(k-1) of them), and that histogram is added once per sensor,
     shifted by its signed position.  No N^k lag array is ever formed, so
     the work stays in cache and allocations stay small.
     """
     p = _positions(source)
-    span = len(sign_rows[0]) * int(np.abs(p).max(initial=0))
+    span = len(signs) * int(np.abs(p).max(initial=0))
     counts = np.zeros(2 * span + 1, dtype=np.int64)
-    for *head, last in sign_rows:
-        sums = _signed_sums(p, head)
-        low = int(sums.min(initial=0))
-        head_counts = np.bincount(sums - low)
-        for start in (span + low + last * p).tolist():
-            counts[start:start + len(head_counts)] += head_counts
+    *head, last = signs
+    sums = _signed_sums(p, head)
+    low = int(sums.min(initial=0))
+    head_counts = np.bincount(sums - low)
+    for start in (span + low + last * p).tolist():
+        counts[start:start + len(head_counts)] += head_counts
     return -span, counts
 
 
 def sum_coarray(source) -> LagCounts:
     """Second-order sum co-array: multiset of p_i + p_j over ordered pairs."""
-    return LagCounts(*_count_lags(source, [(1, 1)]))
+    return LagCounts(*_count_lags(source, (1, 1)))
 
 
 def diff_coarray(source) -> LagCounts:
     """Second-order difference co-array: multiset of p_i - p_j over ordered pairs."""
-    return LagCounts(*_count_lags(source, [(1, -1)]))
+    return LagCounts(*_count_lags(source, (1, -1)))
 
 
 def case_virtual_positions(source, case: int) -> np.ndarray:
@@ -194,7 +197,7 @@ def case_virtual_positions(source, case: int) -> np.ndarray:
 
 def foca(source, case: int) -> LagCounts:
     """Fourth-order co-array for one conjugation case (multiset over N^4 quadruples)."""
-    return LagCounts(*_count_lags(source, [_case_signs(case)]))
+    return LagCounts(*_count_lags(source, _case_signs(case)))
 
 
 def foeca(source) -> LagCounts:
@@ -205,27 +208,21 @@ def foeca(source) -> LagCounts:
     the symmetric range [-span, span]; case 3 negates case 1, so its
     counts are case 1's reversed.
     """
-    _, case1 = _count_lags(source, [CASE_SIGNS[1]])
-    lo, counts = _count_lags(source, [CASE_SIGNS[2]])
+    _, case1 = _count_lags(source, CASE_SIGNS[1])
+    lo, counts = _count_lags(source, CASE_SIGNS[2])
     counts += case1
     counts += case1[::-1]
     return LagCounts(lo, counts)
 
 
-def analyze_segment(lags) -> SegmentReport:
+def analyze_segment(lags: LagCounts) -> SegmentReport:
     """Measure the maximal zero-centered hole-free segment and all holes.
 
-    ``lags`` is a ``LagCounts``, or any iterable of integer lags (read as
-    int64, repeats allowed), which is first counted into one with one
-    ``np.bincount``.  Raises if lag 0 is absent (a co-array always
-    contains it; its absence signals a malformed input).  The holes are
-    the zeros of the dense counts over [lo, hi], so time and memory are
-    O(hi - lo), with no Python step per lag.
+    Raises if lag 0 is absent (a co-array always contains it; its
+    absence signals a malformed input).  The holes are the zeros of the
+    dense counts over [lo, hi], so time and memory are O(hi - lo), with
+    no Python step per lag.
     """
-    if not isinstance(lags, LagCounts):
-        present = np.fromiter(lags, dtype=np.int64)
-        lo = int(present.min()) if len(present) else 0
-        lags = LagCounts(lo, np.bincount(present - lo))
     if 0 not in lags:
         raise ValueError("lag 0 is missing; segment analysis needs a zero-centered multiset")
     lo, hi = lags.lo, lags.lo + len(lags.counts) - 1

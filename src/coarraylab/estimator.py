@@ -5,9 +5,11 @@ snapshots, average all entries sharing a virtual lag (across quadruples
 and cases, with equal weights; the BPSK source model makes the three
 case cumulants identical so cross-case pooling is unbiased), then run
 spatial-smoothing MUSIC on the resulting single-snapshot virtual-ULA
-measurement.  MUSIC scans the D-dimensional signal subspace rather than
-the noise subspace, so its grid scan costs O(D*L*G) for D sources, a
-co-array half-length L and G grid points.
+measurement.  The averaging divides each lag's sum by its multiplicity
+in ``coarray.foeca``, so lags are counted only there.  MUSIC scans the
+grid that ``steering_grid`` builds, over the D-dimensional signal
+subspace rather than the noise subspace, so its scan costs O(D*L*G) for
+D sources, a co-array half-length L and G grid points.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,11 +29,11 @@ __all__ = [
     "CumulantBank",
     "FoecaMeasurement",
     "DoaEstimate",
-    "SteeringGrid",
     "sample_cumulants",
     "assemble_foeca",
     "subarray_length",
     "smoothed_covariance",
+    "steering_grid",
     "ss_music",
     "match_nearest",
 ]
@@ -142,30 +144,27 @@ class FoecaMeasurement:
 def assemble_foeca(bank: CumulantBank, array: SensorArray, lc: Optional[int] = None) -> FoecaMeasurement:
     """Average all cumulant entries sharing a virtual lag over [-Lc, Lc].
 
-    Lc defaults to the measured hole-free half-length of the array's
-    extended co-array.  A zero-contributor lag inside that segment would
-    contradict the segment analysis and raises.
+    The divisor of each lag is its multiplicity in ``foeca(array)``.  Lc
+    defaults to the measured hole-free half-length of that co-array; a
+    given Lc must lie in [0, measured], since a lag outside the segment
+    may have no contributor.
     """
     if bank.n_sensors != array.n_sensors:
         raise ValueError("cumulant bank and array sensor counts differ")
+    multiset = foeca(array)
+    measured = analyze_segment(multiset).lc
     if lc is None:
-        lc = analyze_segment(foeca(array)).lc
-    width = 2 * lc + 1
-    sums = np.zeros(width, dtype=complex)
-    counts = np.zeros(width, dtype=np.int64)
+        lc = measured
+    if not 0 <= lc <= measured:
+        raise ValueError(f"lc must lie in [0, {measured}], the array's hole-free "
+                         f"co-array half-length, got {lc}")
+    counts = multiset.counts[-multiset.lo - lc:-multiset.lo + lc + 1]
+    sums = np.zeros(2 * lc + 1, dtype=complex)
     for case in (1, 2, 3):
         lags = case_virtual_positions(array, case)
         vals = bank.case(case).ravel()
         sel = np.abs(lags) <= lc
-        idx = (lags[sel] + lc).astype(np.intp)
-        np.add.at(sums, idx, vals[sel])
-        np.add.at(counts, idx, 1)
-    if np.any(counts == 0):
-        missing = np.flatnonzero(counts == 0) - lc
-        raise AssertionError(
-            f"lags {missing.tolist()} have no contributors inside the claimed "
-            "consecutive segment; co-array bookkeeping is inconsistent"
-        )
+        np.add.at(sums, (lags[sel] + lc).astype(np.intp), vals[sel])
     values = sums / counts
     values = 0.5 * (values + values[::-1].conj())
     return FoecaMeasurement(np.arange(-lc, lc + 1), values, counts)
@@ -201,41 +200,31 @@ def _pick_peaks(grid: np.ndarray, spec: np.ndarray, n_sources: int, min_sep_cell
     return refined
 
 
-@dataclass(frozen=True, eq=False)
-class SteeringGrid:
+@functools.lru_cache(maxsize=1)
+def steering_grid(sub: int, grid_step_deg: float) -> Tuple[np.ndarray, np.ndarray]:
     """Scan grid and virtual-ULA steering matrix for one (length, step) pair.
 
-    ``grid_deg`` steps through the open range (-90, 90) degrees, and
-    ``steering`` is ``signalsim.manifold`` of the ``sub``-element ULA at
-    positions 0..sub-1 over it.  Both arrays are read-only, so one grid
-    can be shared by every estimate with the same subarray length and
-    grid step.
+    Returns ``(grid_deg, steering)``: ``grid_deg`` steps through the open
+    range (-90, 90) degrees, and ``steering`` is ``signalsim.manifold``
+    of the ``sub``-element ULA at positions 0..sub-1 over it.  A step that
+    is not finite and positive raises ``ValueError``, and so does one too
+    small for ``np.arange`` to size (1e-300); a grid too large to
+    allocate raises ``MemoryError``.  Both arrays are read-only, and the
+    last pair is cached per process, since a sweep estimates with one
+    setting.  The cache keeps that one grid alive: about 315 MB for the
+    19-sensor design (length 2187) at a 0.02 degree step.
     """
-
-    grid_deg: np.ndarray
-    steering: np.ndarray
-
-    @property
-    def sub(self) -> int:
-        return self.steering.shape[0]
-
-    @classmethod
-    def build(cls, sub: int, grid_step_deg: float) -> "SteeringGrid":
-        if sub < 1:
-            raise ValueError(f"subarray length must be positive, got {sub}")
-        if not (math.isfinite(grid_step_deg) and grid_step_deg > 0):
-            raise ValueError(f"grid step must be finite and positive, got {grid_step_deg}")
-        grid = np.arange(-90.0 + grid_step_deg, 90.0, grid_step_deg)
-        # arange can overshoot its stop by rounding (90.00000000000684 at a 0.015 step)
-        grid = grid[grid < 90.0]
-        steering = manifold(SensorArray(tuple(range(sub))), grid)
-        grid.flags.writeable = False
-        steering.flags.writeable = False
-        return cls(grid, steering)
-
-
-# One grid per process: a sweep estimates with one (length, step) pair.
-_steering_grid = functools.lru_cache(maxsize=1)(SteeringGrid.build)
+    if sub < 1:
+        raise ValueError(f"subarray length must be positive, got {sub}")
+    if not (math.isfinite(grid_step_deg) and grid_step_deg > 0):
+        raise ValueError(f"grid step must be finite and positive, got {grid_step_deg}")
+    grid = np.arange(-90.0 + grid_step_deg, 90.0, grid_step_deg)
+    # arange can overshoot its stop by rounding (90.00000000000684 at a 0.015 step)
+    grid = grid[grid < 90.0]
+    steering = manifold(SensorArray(tuple(range(sub))), grid)
+    grid.flags.writeable = False
+    steering.flags.writeable = False
+    return grid, steering
 
 
 def subarray_length(lc: int, n_sources: int, subarray_len: Optional[int] = None) -> int:
@@ -288,11 +277,9 @@ def ss_music(
     parabolic-refined off the grid; fewer when the spectrum has fewer
     peaks at least ``min_peak_sep_deg`` apart.
 
-    The scan grid and steering matrix come from a per-process cache of
-    ``SteeringGrid.build`` keyed on (subarray length, grid step), so a
+    The scan grid and steering matrix come from ``steering_grid``, whose
+    per-process cache is keyed on (subarray length, grid step), so a
     sweep that estimates many times with one setting builds them once.
-    The cache keeps that one grid alive: about 315 MB for the 19-sensor
-    design (length 2187) at a 0.02 degree step.
     """
     lc = meas.lc
     if n_sources < 1:
@@ -300,15 +287,15 @@ def ss_music(
     if not (math.isfinite(min_peak_sep_deg) and min_peak_sep_deg >= 0):
         raise ValueError(f"min_peak_sep_deg must be finite and >= 0, got {min_peak_sep_deg}")
     sub = subarray_length(lc, n_sources, subarray_len)
-    grid = _steering_grid(sub, grid_step_deg)
+    grid_deg, steering = steering_grid(sub, grid_step_deg)
     eigvals, eigvecs = np.linalg.eigh(smoothed_covariance(meas.values, sub))
     rank = int(np.sum(eigvals > max(1e-12 * eigvals[-1], 0.0)))
     signal = eigvecs[:, sub - n_sources:]
-    denom = sub - np.sum(np.abs(signal.conj().T @ grid.steering) ** 2, axis=0)
+    denom = sub - np.sum(np.abs(signal.conj().T @ steering) ** 2, axis=0)
     spec = 1.0 / np.maximum(denom, sub * np.finfo(float).eps)
     min_sep_cells = max(1, int(round(min_peak_sep_deg / grid_step_deg)))
-    peaks = _pick_peaks(grid.grid_deg, spec, n_sources, min_sep_cells)
-    return DoaEstimate(np.sort(np.asarray(peaks)), grid.grid_deg, spec,
+    peaks = _pick_peaks(grid_deg, spec, n_sources, min_sep_cells)
+    return DoaEstimate(np.sort(np.asarray(peaks)), grid_deg, spec,
                        rank_ok=rank >= n_sources)
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 __all__ = [
     "SensorArray",
@@ -45,18 +45,15 @@ def round_nearest(x: float) -> int:
 
 @dataclass(frozen=True)
 class SensorArray:
-    """Integer sensor positions (units of d = lambda/2) plus design metadata.
+    """Integer sensor positions in units of d = lambda/2.
 
     Parameters
     ----------
     positions : tuple of int
         Strictly increasing, non-negative, first element 0.
-    split : tuple (N1, N2, N3), optional
-        Subarray sensor counts when the array is a FOGNA.
     """
 
     positions: Tuple[int, ...]
-    split: Optional[Tuple[int, int, int]] = None
 
     def __post_init__(self):
         pos = tuple(int(p) for p in self.positions)
@@ -174,7 +171,7 @@ def build_fogna(params) -> SensorArray:
     positions = tuple(sorted(s1 | s2 | s3))
     if len(positions) != params.n:
         raise AssertionError("FOGNA sensor count mismatch")
-    return SensorArray(positions, split=(params.n1, params.n2, params.n3))
+    return SensorArray(positions)
 
 
 FAMILIES = ("FL_NA", "SE_FL_NA", "FO_FRACTAL_NA", "SD_FODC_NA", "FOGNA")
@@ -213,7 +210,7 @@ REFERENCE_DOF_ROWS = {
 }
 
 
-def competitor_dof(family: str, split: Sequence[int], c_t0: int = 1) -> int:
+def competitor_dof(family: str, split: Sequence[int]) -> int:
     """Evaluate the published closed-form DOF expression for an array family.
 
     ``split`` arity per family: FL_NA and SE_FL_NA take the four nesting
@@ -222,9 +219,9 @@ def competitor_dof(family: str, split: Sequence[int], c_t0: int = 1) -> int:
 
     Caveats, all inherited from the printed expressions: the SE_FL_NA
     form does not reproduce its own published rows (e.g. it yields 109
-    where 253 is tabulated); the FO_FRACTAL_NA form carries the free
-    constant ``c_t0`` and only yields an integer for some seeds.  FL_NA
-    and FOGNA forms reproduce their rows (FOGNA: up to the known
+    where 253 is tabulated); the FO_FRACTAL_NA form carries a free
+    constant c_t0, here 1, and only yields an integer for some seeds.
+    FL_NA and FOGNA forms reproduce their rows (FOGNA: up to the known
     19-sensor misprint, see REFERENCE_DOF_ROWS).
     """
     family = family.upper().replace("-", "_")
@@ -244,7 +241,7 @@ def competitor_dof(family: str, split: Sequence[int], c_t0: int = 1) -> int:
         n_seed = split[0]
         n_total = 2 * n_seed - 1
         n_g = Fraction(n_total + 1, 2)
-        m_r = Fraction(2, 3) * n_g * n_g - Fraction(2, 3) * n_g + c_t0
+        m_r = Fraction(2, 3) * n_g * n_g - Fraction(2, 3) * n_g + 1
         dof = 2 * m_r * m_r - 1
         if dof.denominator != 1:
             raise ValueError(

@@ -1,18 +1,19 @@
 """Far-field narrowband snapshot simulator for non-Gaussian sources.
 
 Sources are mutually uncorrelated and i.i.d. across snapshots.  The
-default source model is real BPSK (+/- sqrt(power) equiprobable): a
-circular constellation would zero out two of the three fourth-order
-cumulant cases and silently collapse the extended co-array to its
+source model is real BPSK (+/- sqrt(power) equiprobable): a circular
+constellation would zero out two of the three fourth-order cumulant
+cases and silently collapse the extended co-array to its
 difference-only part, while BPSK gives the same cumulant, -2*power^2,
-in all three cases.
+in all three cases.  The noise is unit-variance circular complex
+Gaussian (``complex_gaussian_sampler``), scaled per SNR.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence, Tuple, Union
+from typing import Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -28,27 +29,22 @@ __all__ = [
 
 
 def complex_gaussian_sampler(rng: np.random.Generator, shape: Tuple[int, ...]) -> np.ndarray:
-    """Unit-variance circular complex Gaussian draws (for null tests)."""
+    """Unit-variance circular complex Gaussian draws: the simulator's noise."""
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2)
 
 
 @dataclass(frozen=True)
 class SourceScene:
-    """Source angles, per-source power, RNG seed and source model.
+    """Source angles, per-source power and RNG seed of BPSK sources.
 
     ``seed`` is anything ``np.random.default_rng`` takes: an int, or a
     tuple such as (sweep seed, trial index) for one trial of a sweep.
     A seed it refuses (negative, or not an integer) is rejected here.
-
-    ``sampler`` chooses the source model: None draws BPSK, and a
-    callable (rng, shape) -> unit-power samples draws custom sources.
-    Either is scaled by sqrt(power).
     """
 
     angles_deg: Tuple[float, ...]
     power: float = 1.0
     seed: Union[int, Tuple[int, ...]] = 0
-    sampler: Optional[Callable[[np.random.Generator, Tuple[int, ...]], np.ndarray]] = None
 
     def __post_init__(self):
         angles = tuple(float(a) for a in self.angles_deg)
@@ -71,10 +67,8 @@ class SourceScene:
         return len(self.angles_deg)
 
     def draw_sources(self, rng: np.random.Generator, n_snapshots: int) -> np.ndarray:
-        shape = (self.n_sources, n_snapshots)
-        if self.sampler is None:
-            return rng.choice([-1.0, 1.0], size=shape) * math.sqrt(self.power)
-        return self.sampler(rng, shape) * math.sqrt(self.power)
+        """BPSK draws, +/- sqrt(power) equiprobable, one row per source."""
+        return rng.choice([-1.0, 1.0], size=(self.n_sources, n_snapshots)) * math.sqrt(self.power)
 
 
 def manifold(array: SensorArray, thetas_deg: Sequence[float]) -> np.ndarray:

@@ -279,7 +279,8 @@ def test_criterion_06_coupling_leakage_rows(capsys):
     e1 = 17
     misprint = FognaParams(9, 5, 5, 2, 5, e1, 2 * e1 + 5 * (2 * e1 + 1))
     misprint_leak = coupling_leakage(coupling_matrix(build_fogna(misprint), model))
-    printed_is_optimizer = REFERENCE_LEAKAGE[19][0] == build_fogna(optimize(19).best_params).split
+    best = optimize(19).best_params
+    printed_is_optimizer = REFERENCE_LEAKAGE[19][0] == (best.n1, best.n2, best.n3)
     ok = (not bad and elapsed < 1.0 and printed_is_optimizer
           and round(computed[19], 4) == 0.2210 and round(misprint_leak, 4) == 0.2210
           and abs(closest_leak - published[19]) > 1e-3)

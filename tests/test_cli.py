@@ -346,11 +346,24 @@ class TestSweepValidation:
         # rmse takes --snapshots as the unambiguous prefix of --snapshots-list
         (["--snapshots=1"], "snapshot counts must be at least 2"),
         (["--seed=-1"], "--seed"),
+        # numpy refuses to lay out this grid; the message names the flag
+        (["--grid-step=1e-300"], "--grid-step 1e-300: Maximum allowed size exceeded"),
     ])
     def test_rejected_before_any_trial(self, capsys, tmp_path, base, flags, message):
         code, out, err = run(capsys, *base, *flags, "--out-dir", str(tmp_path))
         assert code == 2
         assert err.startswith("error: ") and message in err
+        assert out == "" and list(tmp_path.iterdir()) == []
+
+    def test_grid_too_large_to_allocate_rejected_before_any_trial(self, capsys, tmp_path,
+                                                                  monkeypatch):
+        # a real step of 1e-12 asks numpy for 1.28 PiB; stand in for that refusal
+        def refuse(sub, step):
+            raise MemoryError("Unable to allocate 1.28 PiB for an array")
+        monkeypatch.setattr(cli.est, "steering_grid", refuse)
+        code, out, err = run(capsys, *self.RMSE, "--grid-step=1e-12", "--out-dir", str(tmp_path))
+        assert code == 2
+        assert err == "error: --grid-step 1e-12: Unable to allocate 1.28 PiB for an array\n"
         assert out == "" and list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("flag", ["--snr-list=", "--snapshots-list="])

@@ -66,6 +66,13 @@ def oracle_segment(lags):
     return SegmentReport(lo, hi, lc, np.array(holes, dtype=np.int64))
 
 
+def lag_counts(lags):
+    """A ``LagCounts`` of an arbitrary lag list, repeats allowed, by one ``np.bincount``."""
+    present = np.fromiter(lags, dtype=np.int64)
+    lo = int(present.min()) if len(present) else 0
+    return LagCounts(lo, np.bincount(present - lo))
+
+
 def oracle_foeca(positions):
     total = {}
     for case in (1, 2, 3):
@@ -258,19 +265,19 @@ class TestLagCounts:
 
 class TestAnalyzeSegment:
     def test_trivial(self):
-        rep = analyze_segment([-1, 0, 1])
+        rep = analyze_segment(lag_counts([-1, 0, 1]))
         assert rep.dof == 3 and rep.holes.tolist() == []
 
     def test_requires_zero(self):
         with pytest.raises(ValueError, match="lag 0 is missing"):
-            analyze_segment([1, 2, 3])
+            analyze_segment(lag_counts([1, 2, 3]))
 
     def test_empty_input_requires_zero(self):
         with pytest.raises(ValueError, match="lag 0 is missing"):
-            analyze_segment([])
+            analyze_segment(lag_counts([]))
 
     def test_zero_alone(self):
-        assert analyze_segment([0]) == SegmentReport(0, 0, 0, ())
+        assert analyze_segment(lag_counts([0])) == SegmentReport(0, 0, 0, ())
 
     def test_four_sensor_example_segment(self):
         rep = analyze_segment(foeca((0, 1, 5, 8)))
@@ -329,15 +336,6 @@ def test_case3_is_case1_with_every_lag_negated(positions):
     assert dict(foca(positions, 3)) == {-l: c for l, c in foca(positions, 1).items()}
 
 
-@settings(max_examples=40, deadline=None)
-@given(positions=raw_arrays)
-def test_segment_same_from_lag_counts_and_lag_list(positions):
-    m = foeca(positions)
-    direct, listed = analyze_segment(m), analyze_segment(list(m))
-    assert direct == listed
-    assert direct.to_json() == listed.to_json()
-
-
 def assert_matches_oracle_segment(report, lags):
     expected = oracle_segment(lags)
     assert (report.full_min, report.full_max, report.lc) == (
@@ -358,13 +356,7 @@ def test_segment_of_foeca_matches_oracle(positions):
 @settings(max_examples=200, deadline=None)
 @given(lags=zero_lag_lists())
 def test_segment_of_lag_list_matches_oracle(lags):
-    assert_matches_oracle_segment(analyze_segment(lags), lags)
-
-
-@settings(max_examples=60, deadline=None)
-@given(lags=zero_lag_lists())
-def test_segment_of_generator_matches_oracle(lags):
-    assert_matches_oracle_segment(analyze_segment(l for l in lags), lags)
+    assert_matches_oracle_segment(analyze_segment(lag_counts(lags)), lags)
 
 
 @settings(max_examples=40, deadline=None)

@@ -16,12 +16,12 @@ from coarraylab import estimator
 from coarraylab.coarray import analyze_segment, case_virtual_positions, foeca
 from coarraylab.estimator import (
     CumulantBank,
-    SteeringGrid,
     assemble_foeca,
     match_nearest,
     sample_cumulants,
     smoothed_covariance,
     ss_music,
+    steering_grid,
 )
 from coarraylab.geometry import SensorArray, build_fogna
 from coarraylab.optimizer import optimize
@@ -73,27 +73,36 @@ def outer_product_covariance(values, sub):
     return (windows[:, :, None] * windows.conj()[:, None, :]).mean(axis=0)
 
 
+# ``steering_grid`` without its cache: every call builds a new pair
+build_grid = steering_grid.__wrapped__
+
+
 def noise_subspace_spectrum(values, n_sources, grid):
     """MUSIC spectrum 1 / |En^H a|^2 scanned over the (sub - D)-dim noise subspace.
 
-    ``ss_music`` scans the D-dimensional signal subspace instead, which
-    gives the same spectrum up to rounding; this is its reference.
+    ``grid`` is a ``(grid_deg, steering)`` pair.  ``ss_music`` scans the
+    D-dimensional signal subspace instead, which gives the same spectrum
+    up to rounding; this is its reference.
     """
-    _, eigvecs = np.linalg.eigh(smoothed_covariance(values, grid.sub))
-    noise = eigvecs[:, : grid.sub - n_sources]
-    return 1.0 / np.sum(np.abs(noise.conj().T @ grid.steering) ** 2, axis=0)
+    _, steering = grid
+    sub = steering.shape[0]
+    _, eigvecs = np.linalg.eigh(smoothed_covariance(values, sub))
+    noise = eigvecs[:, : sub - n_sources]
+    return 1.0 / np.sum(np.abs(noise.conj().T @ steering) ** 2, axis=0)
 
 
 def explicit_grid_spectrum(values, n_sources, grid):
     """The signal-subspace spectrum of ``ss_music``, scanned over ``grid``.
 
     The reference for the grid that ``ss_music`` takes from its cache:
-    the same arithmetic over an explicitly built ``SteeringGrid``.
+    the same arithmetic over an explicitly built ``(grid_deg, steering)``
+    pair.
     """
-    sub = grid.sub
+    _, steering = grid
+    sub = steering.shape[0]
     _, eigvecs = np.linalg.eigh(smoothed_covariance(values, sub))
     signal = eigvecs[:, sub - n_sources:]
-    denom = sub - np.sum(np.abs(signal.conj().T @ grid.steering) ** 2, axis=0)
+    denom = sub - np.sum(np.abs(signal.conj().T @ steering) ** 2, axis=0)
     return 1.0 / np.maximum(denom, sub * np.finfo(float).eps)
 
 
@@ -217,6 +226,27 @@ class TestAssemble:
         model = -2 * np.exp(1j * np.pi * meas.lags * math.sin(math.radians(theta)))
         assert np.max(np.abs(meas.values - model)) < 1e-10
 
+    def test_given_lc_is_the_central_part_of_the_default(self):
+        # per-lag sums do not depend on Lc, so a smaller segment is a bitwise slice
+        arr = build_fogna((4, 2, 1))
+        bank = sample_cumulants(simulate(arr, SourceScene((10.0,), seed=9), 10.0, 500))
+        full = assemble_foeca(bank, arr)
+        for lc in (0, 5, full.lc):
+            part = assemble_foeca(bank, arr, lc=lc)
+            middle = slice(full.lc - lc, full.lc + lc + 1)
+            assert np.array_equal(part.lags, full.lags[middle])
+            assert part.values.tobytes() == full.values[middle].tobytes()
+            assert np.array_equal(part.counts, full.counts[middle])
+
+    @pytest.mark.parametrize("lc_of", [lambda m: m + 1, lambda m: -1, lambda m: 10**6],
+                             ids=["measured+1", "-1", "beyond-span"])
+    def test_rejects_lc_outside_the_measured_segment(self, lc_of):
+        # the 7-sensor design measures Lc = 88; its co-array spans [-156, 156]
+        arr = build_fogna((4, 2, 1))
+        measured = analyze_segment(foeca(arr)).lc
+        with pytest.raises(ValueError, match=rf"lc must lie in \[0, {measured}\]"):
+            assemble_foeca(analytic_bank(arr, [10.0]), arr, lc=lc_of(measured))
+
     def test_conjugate_symmetry_enforced(self):
         arr = build_fogna((4, 2, 1))
         snap = simulate(arr, SourceScene((-15.0, 40.0), seed=12), 0.0, 2000)
@@ -290,11 +320,11 @@ class TestSignalSubspaceScan:
         # and the smallest noisy denominator is far above that
         meas = fogna_measurement(n_sensors, truths, snr_db, n_snapshots, seed=1000)
         est = ss_music(meas, len(truths), grid_step_deg=grid_step, subarray_len=sub)
-        grid = SteeringGrid.build(meas.lc + 1 if sub is None else sub, grid_step)
+        grid = build_grid(meas.lc + 1 if sub is None else sub, grid_step)
         ref = noise_subspace_spectrum(meas.values, len(truths), grid)
         assert np.allclose(est.spectrum, ref, rtol=1e-8, atol=0)
         min_sep_cells = max(1, round(0.5 / grid_step))
-        ref_angles = np.sort(estimator._pick_peaks(grid.grid_deg, ref, len(truths), min_sep_cells))
+        ref_angles = np.sort(estimator._pick_peaks(grid[0], ref, len(truths), min_sep_cells))
         assert np.array_equal(np.round(est.angles_deg, 6), np.round(ref_angles, 6))
 
     @pytest.mark.parametrize("positions, angles, n_sources", [
@@ -362,10 +392,9 @@ class TestSmoothedCovariance:
 
 class TestSteeringGrid:
     def test_arrays_are_read_only(self):
-        grid = SteeringGrid.build(10, 0.5)
-        assert grid.sub == 10
-        assert grid.steering.shape == (10, grid.grid_deg.size)
-        for arr in (grid.grid_deg, grid.steering):
+        grid_deg, steering = steering_grid(10, 0.5)
+        assert steering.shape == (10, grid_deg.size)
+        for arr in (grid_deg, steering):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0
@@ -374,37 +403,37 @@ class TestSteeringGrid:
     def test_build_matches_out_of_place_oracle_and_peaks_at_its_size(self, sub, step):
         tracemalloc.start()
         try:
-            grid = SteeringGrid.build(sub, step)
+            grid_deg, steering = build_grid(sub, step)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         oracle = np.exp(1j * np.pi * np.arange(sub)[:, None]
-                        * np.sin(np.deg2rad(grid.grid_deg))[None, :])
-        assert grid.steering.tobytes() == oracle.tobytes()
+                        * np.sin(np.deg2rad(grid_deg))[None, :])
+        assert steering.tobytes() == oracle.tobytes()
         # the phases are exponentiated in place: no second grid-sized array
-        assert peak <= 1.2 * grid.steering.nbytes, f"{peak} B for {grid.steering.nbytes} B"
+        assert peak <= 1.2 * steering.nbytes, f"{peak} B for {steering.nbytes} B"
 
     @pytest.mark.parametrize("step", [0.015, 0.075, 1.2, 0.02, 0.05])
     def test_grid_lies_inside_the_open_range(self, step):
         # arange overshoots 90 at the first three steps; the scan must not reach endfire
-        grid = SteeringGrid.build(3, step)
-        assert grid.grid_deg.size == round(180 / step) - 1
-        assert -90.0 < grid.grid_deg[0] and grid.grid_deg[-1] < 90.0
+        grid_deg, _ = steering_grid(3, step)
+        assert grid_deg.size == round(180 / step) - 1
+        assert -90.0 < grid_deg[0] and grid_deg[-1] < 90.0
         meas = TestSteeringGridCache.measurement()
         assert ss_music(meas, 2, grid_step_deg=step).grid_deg[-1] < 90.0
 
     @pytest.mark.parametrize("sub, step", [(205, 0.02), (89, 0.05), (372, 0.02), (1, 1.0),
                                            (7, 60.0)])
     def test_steering_is_the_virtual_ula_manifold(self, sub, step):
-        grid = SteeringGrid.build(sub, step)
-        ula = manifold(SensorArray(tuple(range(sub))), grid.grid_deg)
-        assert grid.steering.tobytes() == ula.tobytes()
+        grid_deg, steering = steering_grid(sub, step)
+        ula = manifold(SensorArray(tuple(range(sub))), grid_deg)
+        assert steering.tobytes() == ula.tobytes()
 
     @pytest.mark.parametrize("sub, step", [(0, 0.05), (5, 0.0), (5, -0.1), (5, math.nan),
                                            (5, math.inf)])
     def test_build_rejects_bad_arguments(self, sub, step):
         with pytest.raises(ValueError, match="subarray length|grid step"):
-            SteeringGrid.build(sub, step)
+            steering_grid(sub, step)
 
 
 class TestSteeringGridCache:
@@ -430,8 +459,8 @@ class TestSteeringGridCache:
         default = ss_music(meas, 2, grid_step_deg=0.05)
         other = ss_music(meas, 2, grid_step_deg=step, subarray_len=sub)
         assert other.grid_deg is not default.grid_deg
-        oracle = SteeringGrid.build(sub, step)
-        assert np.array_equal(other.grid_deg, oracle.grid_deg)
+        oracle = build_grid(sub, step)
+        assert np.array_equal(other.grid_deg, oracle[0])
         assert np.array_equal(other.spectrum, explicit_grid_spectrum(meas.values, 2, oracle))
         again = ss_music(meas, 2, grid_step_deg=0.05)
         assert np.array_equal(again.grid_deg, default.grid_deg)
@@ -443,6 +472,6 @@ class TestSteeringGridCache:
                                                    n_snapshots, grid_step, sub):
         meas = fogna_measurement(n_sensors, truths, snr_db, n_snapshots, seed=1000)
         est = ss_music(meas, len(truths), grid_step_deg=grid_step, subarray_len=sub)
-        oracle = SteeringGrid.build(meas.lc + 1 if sub is None else sub, grid_step)
-        assert np.array_equal(est.grid_deg, oracle.grid_deg)
+        oracle = build_grid(meas.lc + 1 if sub is None else sub, grid_step)
+        assert np.array_equal(est.grid_deg, oracle[0])
         assert np.array_equal(est.spectrum, explicit_grid_spectrum(meas.values, len(truths), oracle))

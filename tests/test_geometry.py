@@ -15,6 +15,7 @@ from coarraylab.geometry import (
     competitor_dof,
     round_nearest,
 )
+from coarraylab.optimizer import optimize
 
 
 def spacing_pattern(positions):
@@ -103,9 +104,12 @@ class TestFognaParams:
 
 class TestFogna:
     def test_worked_example_11(self):
+        # the worked example is the optimizer's design; a split and its params build one array
+        params = optimize(11).best_params
+        assert (params.n1, params.n2, params.n3) == (5, 3, 3)
         arr = build_fogna((5, 3, 3))
         assert arr.positions == (0, 1, 3, 5, 6, 25, 38, 51, 102, 204, 306)
-        assert arr.split == (5, 3, 3)
+        assert build_fogna(params) == arr
 
     def test_nine_sensor_design(self):
         assert build_fogna((5, 2, 2)).positions == (0, 1, 3, 5, 6, 25, 38, 76, 152)

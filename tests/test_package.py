@@ -16,10 +16,10 @@ MODULES = ("coarray", "coupling", "estimator", "geometry", "optimizer", "signals
 PACKAGE_NAMES = {
     "CouplingModel", "CumulantBank", "DoaEstimate", "FoecaMeasurement", "FognaParams",
     "LagCounts", "OptimizerResult", "SegmentReport", "SensorArray", "SourceScene",
-    "SteeringGrid", "analyze_segment", "assemble_foeca", "build_cna", "build_fogna",
-    "build_nested", "competitor_dof", "coupling_leakage", "coupling_matrix", "diff_coarray",
-    "dof_bound_ratio", "dof_quadratic", "foca", "foeca", "optimize", "sample_cumulants",
-    "simulate", "simulate_sweep", "ss_music", "sum_coarray",
+    "analyze_segment", "assemble_foeca", "build_cna", "build_fogna", "build_nested",
+    "competitor_dof", "coupling_leakage", "coupling_matrix", "diff_coarray", "dof_bound_ratio",
+    "dof_quadratic", "foca", "foeca", "optimize", "sample_cumulants", "simulate",
+    "simulate_sweep", "ss_music", "sum_coarray",
 }
 
 

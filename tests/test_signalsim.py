@@ -1,4 +1,4 @@
-"""Snapshot simulator: steering, source models, noise calibration, sweep points."""
+"""Snapshot simulator: steering, the BPSK source model, noise calibration, sweep points."""
 
 import math
 import re
@@ -79,12 +79,6 @@ class TestScene:
         # a seed is checked when the scene is built, not at its first draw
         with pytest.raises(ValueError, match=re.escape(f"seed {seed!r} is not an RNG seed")):
             SourceScene((0.0,), seed=seed)
-
-    def test_sampler_draws_are_used_scaled_by_sqrt_power(self):
-        scene = SourceScene((0.0, 30.0), power=4.0, sampler=complex_gaussian_sampler)
-        s = scene.draw_sources(np.random.default_rng(5), 100)
-        unit = complex_gaussian_sampler(np.random.default_rng(5), (2, 100))
-        assert np.array_equal(s, 2.0 * unit)
 
     def test_bpsk_values(self):
         scene = SourceScene((0.0,), power=4.0, seed=3)
