@@ -9,7 +9,7 @@ from .coarray import (
     foeca,
     sum_coarray,
 )
-from .coupling import CouplingModel, coupling_leakage, coupling_matrix
+from .coupling import coupling_leakage, coupling_matrix
 from .estimator import (
     CumulantBank,
     DoaEstimate,

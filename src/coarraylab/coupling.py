@@ -1,16 +1,26 @@
-"""Banded Toeplitz mutual-coupling model and coupling-leakage metric."""
+"""Banded Toeplitz mutual-coupling model and coupling-leakage metric.
+
+The model is the B-banded symmetric Toeplitz one of Liu and Vaidyanathan
+("Super Nested Arrays, Part I", IEEE TSP 64(15), 2016): c_0 = 1,
+c_1 = ``C1`` = 0.3*exp(1j*pi/3), and c_l = C1 * exp(-1j*(l-1)*pi/8) / l
+for 2 <= l <= ``BAND`` = 100; separations beyond the band do not couple.
+The magnitudes |c_l| = |C1|/l decay strictly.  ``REFERENCE_LEAKAGE``
+reproduces only at these values, so they are constants, not parameters.
+"""
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import SensorArray
 
-__all__ = ["CouplingModel", "coupling_matrix", "coupling_leakage", "REFERENCE_LEAKAGE"]
+__all__ = ["C1", "BAND", "coupling_matrix", "coupling_leakage", "REFERENCE_LEAKAGE"]
+
+C1 = 0.3 * cmath.exp(1j * math.pi / 3)
+BAND = 100
 
 # Published reference leakage rows (N -> tabulated split and leakage),
 # kept verbatim.  Rows 9, 10, 11, 21 and 23 reproduce, to 1e-4, from the
@@ -29,52 +39,21 @@ REFERENCE_LEAKAGE = {
 }
 
 
-@dataclass(frozen=True)
-class CouplingModel:
-    """B-banded symmetric Toeplitz coupling coefficients over sensor separations.
+def coupling_matrix(source) -> np.ndarray:
+    """N x N coupling matrix: entry (i, j) is c_{|p_i - p_j|}.
 
-    c_0 = 1, c_1 = ``c1``, and c_l = c1 * exp(-1j*(l-1)*pi/8) / l for
-    2 <= l <= band; separations beyond the band do not couple.  The
-    magnitudes |c_l| = |c1|/l decay strictly, as the model requires.
+    Only c_0..c_min(max separation, BAND) are evaluated; separations past
+    the band are zero-filled, not evaluated, in the dtype of the evaluated
+    head (float64 when no complex coefficient is in it).
     """
-
-    c1: complex = 0.3 * cmath.exp(1j * math.pi / 3)
-    band: int = 100
-
-    def __post_init__(self):
-        if abs(self.c1) >= 1.0:
-            raise ValueError(f"|c1| must be < 1, got {abs(self.c1):.3f}")
-        if self.band < 0:
-            raise ValueError(f"band must be non-negative, got {self.band}")
-
-    def coefficient(self, separation: int) -> complex:
-        if separation < 0:
-            raise ValueError("separation is a non-negative integer")
-        if separation == 0:
-            return 1.0
-        if separation > self.band:
-            return 0.0
-        if separation == 1:
-            return self.c1
-        return self.c1 * cmath.exp(-1j * (separation - 1) * math.pi / 8) / separation
-
-    def coefficients(self, upto: int) -> np.ndarray:
-        """Vector [c_0, c_1, ..., c_upto] with the band cutoff applied.
-
-        Only c_0..c_min(upto, band) are evaluated; separations past the
-        band are zero-filled, not evaluated, in the dtype of the evaluated
-        head (float64 when no complex coefficient is in it).
-        """
-        head = np.array([self.coefficient(l) for l in range(min(upto, self.band) + 1)])
-        return np.concatenate([head, np.zeros(max(upto - self.band, 0), dtype=head.dtype)])
-
-
-def coupling_matrix(source, model: CouplingModel = CouplingModel()) -> np.ndarray:
-    """N x N coupling matrix: entry (i, j) is c_{|p_i - p_j|}."""
     positions = source.positions if isinstance(source, SensorArray) else tuple(source)
     p = np.asarray(positions, dtype=np.int64)
     sep = np.abs(p[:, None] - p[None, :])
-    coeffs = model.coefficients(int(sep.max()))
+    upto = int(sep.max())
+    last = min(upto, BAND)
+    head = np.array([1.0, C1][:last + 1] + [C1 * cmath.exp(-1j * (l - 1) * math.pi / 8) / l
+                                          for l in range(2, last + 1)])
+    coeffs = np.concatenate([head, np.zeros(upto - last, dtype=head.dtype)])
     return coeffs[sep]
 
 

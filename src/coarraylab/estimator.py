@@ -46,6 +46,8 @@ class CumulantBank:
     Case 3 is the elementwise conjugate of case 1 (its conjugation
     pattern conjugates every case-1 argument), which holds exactly at
     the sample level, so ``case(3)`` derives it instead of storing it.
+    Under the simulator's +/-1 BPSK sources each source adds -2 times
+    its steering phase to every entry, in all three cases.
     """
 
     case1: np.ndarray
@@ -300,13 +302,18 @@ def ss_music(
 
 
 def match_nearest(estimates: Sequence[float], truths: Sequence[float]) -> np.ndarray:
-    """Greedy nearest-angle assignment; returns signed errors per truth angle."""
-    pool = list(estimates)
-    errors = []
-    for t in truths:
-        if not pool:
-            raise ValueError("fewer estimates than truth angles")
-        j = int(np.argmin([abs(t - e) for e in pool]))
-        errors.append(t - pool.pop(j))
-    return np.asarray(errors)
+    """Signed errors truth - estimate, in the order of ``truths``.
 
+    The sorted estimates are paired with the sorted truths.  With equal
+    counts on a line this pairing minimises every sum of |error|^p,
+    p >= 1, and one missed source shifts only the pairs between it and
+    the spurious peak, where nearest-first matching in truth order can
+    cascade.  Counts that differ raise ``ValueError``.
+    """
+    estimates, truths = np.asarray(estimates, dtype=float), np.asarray(truths, dtype=float)
+    if len(estimates) != len(truths):
+        raise ValueError(f"{len(estimates)} estimates for {len(truths)} truth angles")
+    order = np.argsort(truths, kind="stable")
+    errors = np.empty_like(truths)
+    errors[order] = truths[order] - np.sort(estimates)
+    return errors

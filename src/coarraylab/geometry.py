@@ -213,9 +213,10 @@ REFERENCE_DOF_ROWS = {
 def competitor_dof(family: str, split: Sequence[int]) -> int:
     """Evaluate the published closed-form DOF expression for an array family.
 
-    ``split`` arity per family: FL_NA and SE_FL_NA take the four nesting
-    levels, FO_FRACTAL_NA the two seed levels, SD_FODC_NA its four
-    construction parameters, FOGNA the (N1, N2, N3) subarray counts.
+    ``family`` is one of ``FAMILIES``, spelled as there.  ``split`` arity
+    per family: FL_NA and SE_FL_NA take the four nesting levels,
+    FO_FRACTAL_NA the two seed levels, SD_FODC_NA its four construction
+    parameters, FOGNA the (N1, N2, N3) subarray counts.
 
     Caveats, all inherited from the printed expressions: the SE_FL_NA
     form does not reproduce its own published rows (e.g. it yields 109
@@ -224,7 +225,6 @@ def competitor_dof(family: str, split: Sequence[int]) -> int:
     FL_NA and FOGNA forms reproduce their rows (FOGNA: up to the known
     19-sensor misprint, see REFERENCE_DOF_ROWS).
     """
-    family = family.upper().replace("-", "_")
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
     split = tuple(int(x) for x in split)

@@ -1,12 +1,13 @@
 """Far-field narrowband snapshot simulator for non-Gaussian sources.
 
 Sources are mutually uncorrelated and i.i.d. across snapshots.  The
-source model is real BPSK (+/- sqrt(power) equiprobable): a circular
+source model is real BPSK (+/-1 equiprobable, unit variance): a circular
 constellation would zero out two of the three fourth-order cumulant
 cases and silently collapse the extended co-array to its
-difference-only part, while BPSK gives the same cumulant, -2*power^2,
-in all three cases.  The noise is unit-variance circular complex
-Gaussian (``complex_gaussian_sampler``), scaled per SNR.
+difference-only part, while BPSK gives the same cumulant, -2, in all
+three cases.  The noise is unit-variance circular complex Gaussian
+(``complex_gaussian_sampler``), scaled per SNR, so the SNR is the
+inverse of its per-sensor variance.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ def complex_gaussian_sampler(rng: np.random.Generator, shape: Tuple[int, ...]) -
 
 @dataclass(frozen=True)
 class SourceScene:
-    """Source angles, per-source power and RNG seed of BPSK sources.
+    """Source angles and RNG seed of +/-1 BPSK sources.
 
     ``seed`` is anything ``np.random.default_rng`` takes: an int, or a
     tuple such as (sweep seed, trial index) for one trial of a sweep.
@@ -43,7 +44,6 @@ class SourceScene:
     """
 
     angles_deg: Tuple[float, ...]
-    power: float = 1.0
     seed: Union[int, Tuple[int, ...]] = 0
 
     def __post_init__(self):
@@ -54,8 +54,6 @@ class SourceScene:
             raise ValueError("source angles must be distinct")
         if not all(abs(a) < 90.0 for a in angles):
             raise ValueError("source angles must lie in (-90, 90) degrees")
-        if not (math.isfinite(self.power) and self.power > 0):
-            raise ValueError(f"source power must be finite and positive, got {self.power}")
         try:
             np.random.default_rng(self.seed)
         except (TypeError, ValueError) as exc:
@@ -67,8 +65,8 @@ class SourceScene:
         return len(self.angles_deg)
 
     def draw_sources(self, rng: np.random.Generator, n_snapshots: int) -> np.ndarray:
-        """BPSK draws, +/- sqrt(power) equiprobable, one row per source."""
-        return rng.choice([-1.0, 1.0], size=(self.n_sources, n_snapshots)) * math.sqrt(self.power)
+        """BPSK draws, +/-1 equiprobable, one row per source."""
+        return rng.choice([-1.0, 1.0], size=(self.n_sources, n_snapshots))
 
 
 def manifold(array: SensorArray, thetas_deg: Sequence[float]) -> np.ndarray:
@@ -103,7 +101,7 @@ def simulate_sweep(
     unit-variance circular complex Gaussian noise (unless every SNR is
     inf), both at max(k_list).
     Point (snr_db, K) takes the first K columns of each and scales the
-    noise to per-sensor variance power * 10^(-snr_db/10); snr_db = inf
+    noise to per-sensor variance 10^(-snr_db/10); snr_db = inf
     disables it.  Points are yielded for each SNR in turn, each over
     ``k_list``, in the order given.
 
@@ -121,7 +119,7 @@ def simulate_sweep(
     noiseless = all(math.isinf(snr_db) for snr_db in snr_list)
     unit_noise = None if noiseless else complex_gaussian_sampler(rng, (array.n_sensors, k_max))
     for snr_db in snr_list:
-        sigma = math.sqrt(scene.power * 10.0 ** (-snr_db / 10.0))
+        sigma = math.sqrt(10.0 ** (-snr_db / 10.0))
         for k in k_list:
             x = a @ s[:, :k]
             if not math.isinf(snr_db):
@@ -129,12 +127,6 @@ def simulate_sweep(
             yield snr_db, x
 
 
-def simulate(
-    array: SensorArray,
-    scene: SourceScene,
-    snr_db: float,
-    n_snapshots: int,
-    coupling: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """The N x K snapshot block of ``simulate_sweep`` at one SNR and one K."""
-    return next(simulate_sweep(array, scene, [snr_db], [n_snapshots], coupling))[1]
+def simulate(array: SensorArray, scene: SourceScene, snr_db: float, n_snapshots: int) -> np.ndarray:
+    """The uncoupled N x K snapshot block of ``simulate_sweep`` at one SNR and one K."""
+    return next(simulate_sweep(array, scene, [snr_db], [n_snapshots]))[1]

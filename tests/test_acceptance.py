@@ -43,7 +43,7 @@ import pytest
 import coarraylab as cl
 from coarraylab.cli import main as cli_main
 from coarraylab.coarray import analyze_segment, foeca
-from coarraylab.coupling import REFERENCE_LEAKAGE, CouplingModel, coupling_leakage, coupling_matrix
+from coarraylab.coupling import REFERENCE_LEAKAGE, coupling_leakage, coupling_matrix
 from coarraylab.estimator import match_nearest, sample_cumulants
 from coarraylab.geometry import (REFERENCE_DOF_ROWS, FognaParams, SensorArray, build_cna,
                                 build_fogna, competitor_dof)
@@ -263,22 +263,21 @@ def test_criterion_06_coupling_leakage_rows(capsys):
     of criterion 01.
     """
     t0 = time.monotonic()
-    model = CouplingModel()
     computed = {}
     for n in (10, 11, 19, 21, 23):
         arr = build_fogna(optimize(n).best_params)
-        computed[n] = coupling_leakage(coupling_matrix(arr, model))
+        computed[n] = coupling_leakage(coupling_matrix(arr))
     elapsed = time.monotonic() - t0
     published = {n: REFERENCE_LEAKAGE[n][1] for n in computed}
     bad = {n: (round(computed[n], 4), published[n]) for n in (10, 11, 21, 23)
            if abs(computed[n] - published[n]) > 1e-3}
     # outside the time budget: every geometry of the family against 0.2018
-    family = [(coupling_leakage(coupling_matrix(build_fogna(p), model)), p)
+    family = [(coupling_leakage(coupling_matrix(build_fogna(p))), p)
               for p in fogna_family(19)]
     closest_leak, closest = min(family, key=lambda t: abs(t[0] - published[19]))
     e1 = 17
     misprint = FognaParams(9, 5, 5, 2, 5, e1, 2 * e1 + 5 * (2 * e1 + 1))
-    misprint_leak = coupling_leakage(coupling_matrix(build_fogna(misprint), model))
+    misprint_leak = coupling_leakage(coupling_matrix(build_fogna(misprint)))
     best = optimize(19).best_params
     printed_is_optimizer = REFERENCE_LEAKAGE[19][0] == (best.n1, best.n2, best.n3)
     ok = (not bad and elapsed < 1.0 and printed_is_optimizer

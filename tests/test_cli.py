@@ -136,7 +136,7 @@ class TestTables:
 
 
 # sha256 of each output as the per-lag loop of analyze_segment and the
-# per-separation loop of CouplingModel.coefficients wrote it; the vectorised
+# per-separation loop of the coupling coefficients wrote it; the vectorised
 # versions must reproduce these bytes.
 @pytest.mark.parametrize("argv, output, digest", [
     (["coarray", "--fogna", "19", "--which", "sca", "dca", "foca1", "foca2", "foca3",
@@ -204,13 +204,15 @@ class TestExperiments:
                (tmp_path / "par" / "rmse_trials.jsonl").read_bytes()
 
     def test_pool_starts_no_more_workers_than_trials(self, capsys, tmp_path, monkeypatch):
-        # a fork-started pool starts all its workers at once; record the
-        # worker counts asked for and map serially, so no process starts
+        # record the worker count, start method and worker BLAS settings
+        # asked for, and map serially, so no process starts
         asked = []
 
         class SerialPool:
-            def __init__(self, max_workers):
-                asked.append(max_workers)
+            def __init__(self, max_workers, mp_context):
+                asked.append((max_workers, mp_context.get_start_method(),
+                              os.environ.get("OPENBLAS_NUM_THREADS"),
+                              os.environ.get("OMP_NUM_THREADS")))
 
             def __enter__(self):
                 return self
@@ -231,8 +233,20 @@ class TestExperiments:
                              "--out-dir", str(out_dir))
             assert code == 0
             outputs[trials, jobs] = (out_dir / "rmse_trials.jsonl").read_bytes()
-        assert asked == [2, 2]
+        assert asked == [(2, "spawn", "1", "1")] * 2
         assert outputs["2", "64"] == outputs["2", "1"]
+
+    def test_jobs_leave_the_environment_unchanged(self, capsys, tmp_path, monkeypatch):
+        # the workers' BLAS settings are set only while the pool runs:
+        # a variable that was set gets its value back, one that was not is removed
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        before = dict(os.environ)
+        code, _, _ = run(capsys, "rmse", "--n-sensors", "7", "--n-sources", "2", "--snr-list",
+                         "5", "--snapshots-list", "1500", "--grid-step", "1.2", "--trials", "2",
+                         "--jobs", "2", "--seed", "7", "--out-dir", str(tmp_path))
+        assert code == 0
+        assert dict(os.environ) == before
 
     def test_rmse_records_match_the_library_path(self, capsys, tmp_path):
         truths, snrs, ks, seed = [-30.0, 5.0, 40.0], [0.0, 10.0], [1500, 3000], 23

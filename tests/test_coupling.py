@@ -8,28 +8,51 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coarraylab.coupling import CouplingModel, coupling_leakage, coupling_matrix
+from coarraylab import coupling as cp
+from coarraylab.coupling import BAND, C1, coupling_leakage, coupling_matrix
 from coarraylab.geometry import build_fogna
 from coarraylab.optimizer import optimize
 
-C1 = 0.3 * cmath.exp(1j * math.pi / 3)
+
+def coefficient(separation):
+    """Oracle: c_l of the model, one separation at a time, at the module's C1 and BAND."""
+    if separation == 0:
+        return 1.0
+    if separation > cp.BAND:
+        return 0.0
+    if separation == 1:
+        return cp.C1
+    return cp.C1 * cmath.exp(-1j * (separation - 1) * math.pi / 8) / separation
+
+
+def loop_matrix(positions):
+    """Oracle: one ``coefficient`` call per separation up to the aperture, band or not."""
+    p = np.asarray(positions, dtype=np.int64)
+    sep = np.abs(p[:, None] - p[None, :])
+    return np.array([coefficient(l) for l in range(int(sep.max()) + 1)])[sep]
+
+
+def assert_same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 class TestModel:
+    def test_constants(self):
+        # the model of Liu & Vaidyanathan's super nested arrays, Part I
+        assert C1 == 0.3 * cmath.exp(1j * math.pi / 3)
+        assert BAND == 100
+
     def test_coefficients(self):
-        model = CouplingModel()
-        assert model.coefficient(0) == 1.0
-        assert model.coefficient(1) == pytest.approx(C1)
-        assert model.coefficient(5) == pytest.approx(C1 * cmath.exp(-1j * 4 * math.pi / 8) / 5)
-        assert model.coefficient(101) == 0.0
+        row = coupling_matrix(range(102))[0]
+        assert row[0] == 1.0
+        assert row[1] == pytest.approx(C1)
+        assert row[5] == pytest.approx(C1 * cmath.exp(-1j * 4 * math.pi / 8) / 5)
+        assert row[101] == 0.0
 
     def test_magnitudes_strictly_decreasing(self):
-        mags = np.abs(CouplingModel().coefficients(100))
+        mags = np.abs(coupling_matrix(range(BAND + 1))[0])
         assert np.all(np.diff(mags) < 0)
-
-    def test_rejects_unit_c1(self):
-        with pytest.raises(ValueError):
-            CouplingModel(c1=1.0)
 
 
 class TestMatrix:
@@ -47,40 +70,51 @@ class TestMatrix:
         assert c[0, 0] == c[1, 1] == 1.0
 
     def test_separation_indexing(self):
-        model = CouplingModel()
-        c = coupling_matrix((0, 2, 7), model)
-        assert c[0, 1] == pytest.approx(model.coefficient(2))
-        assert c[0, 2] == pytest.approx(model.coefficient(7))
-        assert c[1, 2] == pytest.approx(model.coefficient(5))
+        c = coupling_matrix((0, 2, 7))
+        assert c[0, 1] == pytest.approx(coefficient(2))
+        assert c[0, 2] == pytest.approx(coefficient(7))
+        assert c[1, 2] == pytest.approx(coefficient(5))
 
 
-def loop_coefficients(model, upto):
-    """One ``coefficient`` call per separation, band or not."""
-    return np.array([model.coefficient(l) for l in range(upto + 1)])
+class TestMatrixMatchesLoop:
+    """The evaluated head and its zero fill against the per-separation loop, bitwise."""
 
+    def test_positions_across_the_band_edge(self):
+        assert_same_bytes(coupling_matrix((0, 1, 2, 99, 100, 101, 150, 3000)),
+                          loop_matrix((0, 1, 2, 99, 100, 101, 150, 3000)))
 
-def assert_same_bytes(got, want):
-    assert got.dtype == want.dtype and got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
+    @pytest.mark.parametrize("n", range(4, 41))
+    def test_designs(self, n):
+        arr = build_fogna(optimize(n).best_params)
+        assert_same_bytes(coupling_matrix(arr), loop_matrix(arr.positions))
 
 
 class TestCoefficientsMatchLoop:
+    """The same comparison with the constants patched to other bands and a real c1.
+
+    Small bands reach the empty head, the real-valued head (float64, so
+    the zero fill is float64 too) and the zero fill with small matrices.
+    ``coupling_matrix`` reads ``C1`` and ``BAND`` at call time.
+    """
+
     @pytest.mark.parametrize("c1", [C1, 0.3], ids=["complex_c1", "real_c1"])
     @pytest.mark.parametrize("band, upto", [
         (100, 0), (100, 1), (100, 40), (100, 99), (100, 100), (100, 101), (100, 3000),
         (0, 0), (0, 1), (0, 7), (1, 0), (1, 1), (1, 9), (5, 3), (5, 5), (5, 6),
     ])
-    def test_bitwise(self, c1, band, upto):
-        model = CouplingModel(c1=c1, band=band)
-        assert_same_bytes(model.coefficients(upto), loop_coefficients(model, upto))
+    def test_bitwise(self, monkeypatch, c1, band, upto):
+        monkeypatch.setattr(cp, "C1", c1)
+        monkeypatch.setattr(cp, "BAND", band)
+        # every separation 0..min(upto, 2*band + 1), and upto itself
+        positions = sorted({*range(min(upto, 2 * band + 1) + 1), upto})
+        got = coupling_matrix(positions)
+        assert_same_bytes(got, loop_matrix(positions))
+        assert got[0, -1] == coefficient(upto)
 
     @pytest.mark.parametrize("band", [0, 1, 100])
-    def test_matrix_at_wide_aperture(self, band):
-        model = CouplingModel(band=band)
-        p = np.array([0, 150, 3000])
-        sep = np.abs(p[:, None] - p[None, :])
-        want = loop_coefficients(model, int(sep.max()))[sep]
-        assert_same_bytes(coupling_matrix(tuple(p), model), want)
+    def test_matrix_at_wide_aperture(self, monkeypatch, band):
+        monkeypatch.setattr(cp, "BAND", band)
+        assert_same_bytes(coupling_matrix((0, 150, 3000)), loop_matrix((0, 150, 3000)))
 
 
 class TestLeakage:

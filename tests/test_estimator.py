@@ -51,14 +51,14 @@ def naive_cumulants(x, case):
     return out
 
 
-def analytic_bank(array, angles_deg, power=1.0):
+def analytic_bank(array, angles_deg):
     """Closed-form noiseless cumulant tensors for BPSK sources (cases 1, 2)."""
     cases = []
     for case in (1, 2):
         v = case_virtual_positions(array, case).reshape((array.n_sensors,) * 4)
         tensor = np.zeros(v.shape, dtype=complex)
         for theta in angles_deg:
-            tensor += -2 * power**2 * np.exp(1j * np.pi * v * math.sin(math.radians(theta)))
+            tensor += -2 * np.exp(1j * np.pi * v * math.sin(math.radians(theta)))
         cases.append(tensor)
     return CumulantBank(cases[0], cases[1])
 
@@ -132,7 +132,7 @@ class TestSampleCumulants:
             assert np.allclose(bank.case(case), naive_cumulants(x, case), atol=1e-12)
 
     def test_bpsk_kurtosis_is_exact(self):
-        # a noiseless BPSK stream gives the -2*power^2 cumulant exactly
+        # a noiseless BPSK stream gives the -2 cumulant exactly
         # at any K: every fourth power and second moment is deterministic
         rng = np.random.default_rng(5)
         s = rng.choice([-1.0, 1.0], size=(1, 16))
@@ -352,6 +352,20 @@ class TestRmse:
     def test_matching_is_nearest(self):
         errors = match_nearest([9.0, 1.1], [1.0, 10.0])
         assert errors == pytest.approx([-0.1, 1.0])
+
+    @pytest.mark.parametrize("truths, estimates, want", [
+        ([0.0, 1.0], [-5.0, 0.6], [5.0, 0.4]),
+        ([5.0, 0.0, 1.0], [0.6, 5.1, -5.0], [-0.1, 5.0, 0.4]),
+    ], ids=["sorted-truths", "unsorted-truths"])
+    def test_a_miss_does_not_cascade(self, truths, estimates, want):
+        # the sorted estimates pair with the sorted truths; nearest-first
+        # in truth order would take 0.6 for truth 0 and leave -5 to
+        # truth 1, errors -0.6 and 6.0
+        assert match_nearest(estimates, truths) == pytest.approx(want)
+
+    def test_rejects_unequal_counts(self):
+        with pytest.raises(ValueError, match="1 estimates for 2 truth angles"):
+            match_nearest([0.5], [0.0, 1.0])
 
 
 class TestSmoothedCovariance:

@@ -192,9 +192,6 @@ class TestCompetitorDof:
         with pytest.raises(ValueError):
             competitor_dof("NO_SUCH", (1, 2))
 
-    def test_family_name_normalization(self):
-        assert competitor_dof("fl-na", (3, 3, 3, 3)) == 217
-
 
 @settings(max_examples=50, deadline=None)
 @given(n1=st.integers(2, 20), n2=st.integers(1, 8), n3=st.integers(1, 8))

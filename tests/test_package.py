@@ -14,8 +14,8 @@ import coarraylab
 MODULES = ("coarray", "coupling", "estimator", "geometry", "optimizer", "signalsim")
 
 PACKAGE_NAMES = {
-    "CouplingModel", "CumulantBank", "DoaEstimate", "FoecaMeasurement", "FognaParams",
-    "LagCounts", "OptimizerResult", "SegmentReport", "SensorArray", "SourceScene",
+    "CumulantBank", "DoaEstimate", "FoecaMeasurement", "FognaParams", "LagCounts",
+    "OptimizerResult", "SegmentReport", "SensorArray", "SourceScene",
     "analyze_segment", "assemble_foeca", "build_cna", "build_fogna", "build_nested",
     "competitor_dof", "coupling_leakage", "coupling_matrix", "diff_coarray", "dof_bound_ratio",
     "dof_quadratic", "foca", "foeca", "optimize", "sample_cumulants", "simulate",

@@ -68,11 +68,6 @@ class TestScene:
         with pytest.raises(ValueError):
             SourceScene((95.0,))
 
-    @pytest.mark.parametrize("power", [0.0, -1.0, math.nan, math.inf])
-    def test_rejects_power_that_is_not_finite_and_positive(self, power):
-        with pytest.raises(ValueError, match="source power"):
-            SourceScene((0.0,), power=power)
-
     @pytest.mark.parametrize("seed", [-1, (3, -1), 1.5, "7"],
                              ids=["negative", "negative-entry", "float", "str"])
     def test_rejects_seed_the_generator_refuses(self, seed):
@@ -81,15 +76,15 @@ class TestScene:
             SourceScene((0.0,), seed=seed)
 
     def test_bpsk_values(self):
-        scene = SourceScene((0.0,), power=4.0, seed=3)
+        scene = SourceScene((0.0,), seed=3)
         s = scene.draw_sources(np.random.default_rng(3), 1000)
-        assert set(np.unique(s)) == {-2.0, 2.0}
+        assert set(np.unique(s)) == {-1.0, 1.0}
 
     def test_bpsk_second_moment(self):
-        scene = SourceScene((0.0,), power=2.0, seed=9)
+        scene = SourceScene((0.0,), seed=9)
         s = scene.draw_sources(np.random.default_rng(9), 10_000)
-        # var of s^2 is zero for BPSK; the mean is exact up to rounding
-        assert np.mean(s**2) == pytest.approx(2.0)
+        # var of s^2 is zero for BPSK, so the unit power is exact
+        assert np.mean(s**2) == 1.0
 
 
 class TestSimulate:
@@ -120,7 +115,7 @@ class TestSimulate:
         arr = SensorArray((0, 1))
         scene = SourceScene((30.0,), seed=2)
         c = np.array([[1.0, 0.2], [0.2, 1.0]])
-        coupled = simulate(arr, scene, math.inf, 16, coupling=c)
+        (_, coupled), = simulate_sweep(arr, scene, [math.inf], [16], coupling=c)
         plain = simulate(arr, scene, math.inf, 16)
         a = manifold(arr, scene.angles_deg)
         s = plain[0:1, :] / a[0, 0]  # recover the source stream
@@ -133,20 +128,23 @@ class TestSimulate:
 
 class TestSimulateSweep:
     ARR = SensorArray((0, 1, 3, 7))
-    SCENE = SourceScene((-20.0, 35.0), power=1.5, seed=(21, 3))
+    SCENE = SourceScene((-20.0, 35.0), seed=(21, 3))
 
     def points(self, snr_list, k_list, coupling=None):
         return list(simulate_sweep(self.ARR, self.SCENE, snr_list, k_list, coupling))
 
     @pytest.mark.parametrize("coupled", [False, True])
     def test_simulate_is_the_first_point(self, coupled):
+        # the first point is the one-point sweep, coupled or not; uncoupled, it is simulate's block
         c = np.array([[1.0, 0.1, 0, 0], [0.1, 1.0, 0.1, 0], [0, 0.1, 1.0, 0.1], [0, 0, 0.1, 1.0]])
         c = c if coupled else None
         snr_db, first = self.points([4.0, -2.0], [900, 300], c)[0]
-        single = simulate(self.ARR, self.SCENE, 4.0, 900, coupling=c)
+        (_, single), = self.points([4.0], [900], c)
         assert snr_db == 4.0
         assert first.shape == (4, 900)
         assert np.array_equal(first, single)
+        if not coupled:
+            assert np.array_equal(first, simulate(self.ARR, self.SCENE, 4.0, 900))
 
     def test_points_in_snr_then_k_order(self):
         pts = self.points([math.inf, 0.0], [50, 200, 100])
@@ -158,20 +156,20 @@ class TestSimulateSweep:
     def test_noise_scales_per_snr(self):
         clean, low, high = (x for _, x in self.points([math.inf, 0.0, 10.0], [500]))
         assert np.array_equal(clean, simulate(self.ARR, self.SCENE, math.inf, 500))
-        # one unit-noise draw, scaled to variance power * 10^(-snr/10)
+        # one unit-noise draw, scaled to variance 10^(-snr/10)
         np.testing.assert_allclose((high - clean) * math.sqrt(10.0), low - clean,
                                    rtol=1e-12, atol=1e-12)
-        assert np.mean(np.abs(low - clean) ** 2) == pytest.approx(1.5, rel=0.1)
+        assert np.mean(np.abs(low - clean) ** 2) == pytest.approx(1.0, rel=0.1)
 
     def test_points_are_prefixes_of_one_draw(self):
         # the stream every sweep depends on: BPSK sources, then unit
         # noise, both at the largest K, from default_rng(scene.seed);
         # a smaller K takes the first K columns of each
         rng = np.random.default_rng([21, 3])
-        s = rng.choice([-1.0, 1.0], size=(2, 400)) * math.sqrt(1.5)
+        s = rng.choice([-1.0, 1.0], size=(2, 400))
         unit = complex_gaussian_sampler(rng, (4, 400))
         a = manifold(self.ARR, self.SCENE.angles_deg)
-        sigma = math.sqrt(1.5 * 10.0 ** (-6.0 / 10.0))
+        sigma = math.sqrt(10.0 ** (-6.0 / 10.0))
         for (_, x), k in zip(self.points([6.0], [400, 250]), (400, 250)):
             assert np.array_equal(x, a @ s[:, :k] + sigma * unit[:, :k])
 
