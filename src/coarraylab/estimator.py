@@ -10,6 +10,12 @@ in ``coarray.foeca``, so lags are counted only there.  MUSIC scans the
 grid that ``steering_grid`` builds, over the D-dimensional signal
 subspace rather than the noise subspace, so its scan costs O(D*L*G) for
 D sources, a co-array half-length L and G grid points.
+
+Each estimate does only the linear algebra it uses.  The moment GEMMs
+of the cumulants run in single precision and are summed in double, and
+MUSIC computes only the D largest eigenpairs of the smoothed covariance
+by subspace iteration, falling back to a full ``eigh`` where that does
+not converge or the covariance has rank below D.
 """
 
 from __future__ import annotations
@@ -85,6 +91,13 @@ def sample_cumulants(snapshots) -> CumulantBank:
     normalization.  They are summed over blocks of B = 2048 snapshot
     columns, each block adding its N^2 x N^2 moment products, and divided
     by K once at the end, so memory stays O(N^4 + N^2*B) for any K.
+
+    Each block's fourth-order products and its two N^2 x N^2 GEMMs run in
+    single precision (complex64 for complex snapshots, float32 for real
+    ones), and the blocks are summed in double precision.  Their rounding,
+    a few 1e-6 of the largest entry, lies far below the sampling error of
+    about K^(-1/2) (1e-2 at K = 14000).  The second moments and the
+    pairing terms stay in double precision.
     """
     x = np.asarray(snapshots)
     if x.ndim != 2:
@@ -93,17 +106,18 @@ def sample_cumulants(snapshots) -> CumulantBank:
     if k < 2:
         raise ValueError(f"need at least 2 snapshots, got {k}")
     dtype = np.result_type(x.dtype, np.float64)
+    single = np.complex64 if dtype.kind == "c" else np.float32
     ra = np.zeros((n, n), dtype)              # sum of x_a x_b
     rb = np.zeros((n, n), dtype)              # sum of x_a conj(x_b)
     m1 = np.zeros((n * n, n * n), dtype)      # sum of x1 x2 x3 x4*
     m2 = np.zeros((n * n, n * n), dtype)      # sum of x1 x2* x3 x4*
     for start in range(0, k, _BLOCK):
         xb = x[:, start:start + _BLOCK]
-        xcb = xb.conj()
-        u = (xb[:, None, :] * xb[None, :, :]).reshape(n * n, -1)    # x_a x_b per snapshot
-        v = (xb[:, None, :] * xcb[None, :, :]).reshape(n * n, -1)   # x_a conj(x_b)
         ra += xb @ xb.T
-        rb += xb @ xcb.T
+        rb += xb @ xb.conj().T
+        xs = xb.astype(single)
+        u = (xs[:, None, :] * xs[None, :, :]).reshape(n * n, -1)          # x_a x_b per snapshot
+        v = (xs[:, None, :] * xs.conj()[None, :, :]).reshape(n * n, -1)   # x_a conj(x_b)
         m1 += u @ v.T
         m2 += v @ v.T
     ra /= k
@@ -253,6 +267,59 @@ def smoothed_covariance(values: np.ndarray, sub: int) -> np.ndarray:
     return windows.T @ windows.conj() / windows.shape[0]
 
 
+# Top-D subspace iteration: extra block columns beyond D, the residual
+# tolerance and the rank threshold (both relative to the largest
+# eigenvalue), and the seed of the random start block.
+_OVERSAMPLE = 8
+_RESIDUAL_TOL = 1e-13
+_RANK_TOL = 1e-12
+_START_SEED = 0
+
+
+def _signal_subspace(r: np.ndarray, n_sources: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The ``n_sources`` largest eigenpairs of the Hermitian PSD matrix ``r``.
+
+    Returns ``(eigvals, eigvecs)`` in ascending order, as ``np.linalg.eigh``
+    orders them.  Block subspace iteration with Rayleigh-Ritz (Saad,
+    *Numerical Methods for Large Eigenvalue Problems*, 2011, ch. 5): a
+    block of D + 8 columns from a fixed-seed random start takes one
+    product Z = R Q per iteration.  The Ritz pairs come from the
+    projected matrix Q^H Z, and R X = Z V gives their residuals without
+    a second product.  The iteration stops once every one of the D
+    residuals is at most 1e-13 times the largest Ritz value.
+
+    ``np.linalg.eigh`` of the whole matrix answers instead when the block
+    is at least half the matrix, when the D-th Ritz value is at most
+    1e-12 times the largest (the matrix has rank below D, where the
+    signal subspace is not unique), and at the iteration cap of
+    sub/block iterations, which cost about as much as the full
+    decomposition.  A scene whose D-th eigenvalue lies too close to the
+    next one to converge by then (40 sources at N = 9, 12 at N = 7) so
+    pays about twice the plain ``eigh``.
+    """
+    sub = r.shape[0]
+    block = n_sources + _OVERSAMPLE
+    if 2 * block < sub:
+        rng = np.random.default_rng(_START_SEED)
+        q = np.linalg.qr(rng.standard_normal((sub, block))
+                         + 1j * rng.standard_normal((sub, block)))[0]
+        # sub/block iterations cost about one full eigh
+        for _ in range(sub // block):
+            z = r @ q
+            theta, v = np.linalg.eigh(q.conj().T @ z)
+            top = theta[-1]
+            if not theta[-n_sources] > max(_RANK_TOL * top, 0.0):
+                break
+            x = q @ v[:, -n_sources:]
+            rx = z @ v[:, -n_sources:]
+            residual = np.linalg.norm(rx - x * theta[-n_sources:], axis=0)
+            if np.all(residual <= _RESIDUAL_TOL * top):
+                return theta[-n_sources:], x
+            q = np.linalg.qr(z)[0]
+    eigvals, eigvecs = np.linalg.eigh(r)
+    return eigvals[sub - n_sources:], eigvecs[:, sub - n_sources:]
+
+
 def ss_music(
     meas: FoecaMeasurement,
     n_sources: int,
@@ -275,6 +342,15 @@ def ss_music(
     subspace Es instead: O(D*L*G) work and a D x G temporary, where the
     noise subspace would cost O(L^2*G).  The subtraction is floored at
     its rounding error, sub*eps, where exact cumulants cancel it.
+
+    Es comes from ``_signal_subspace``: block subspace iteration for the
+    D largest eigenpairs, O(L^2*D) per iteration instead of the O(L^3) of
+    a full ``eigh`` (4 to 6 iterations on the C10 scenes; at the
+    19-sensor design, L = 2186, 0.09 s instead of 8.6 s).  Where it does
+    not converge within its cap, or the covariance has rank below D,
+    Es is the full ``eigh``'s.  ``rank_ok`` says whether the D-th
+    largest eigenvalue exceeds 1e-12 times the largest.
+
     Returns the ``n_sources`` largest well-separated spectrum peaks,
     parabolic-refined off the grid; fewer when the spectrum has fewer
     peaks at least ``min_peak_sep_deg`` apart.
@@ -290,15 +366,13 @@ def ss_music(
         raise ValueError(f"min_peak_sep_deg must be finite and >= 0, got {min_peak_sep_deg}")
     sub = subarray_length(lc, n_sources, subarray_len)
     grid_deg, steering = steering_grid(sub, grid_step_deg)
-    eigvals, eigvecs = np.linalg.eigh(smoothed_covariance(meas.values, sub))
-    rank = int(np.sum(eigvals > max(1e-12 * eigvals[-1], 0.0)))
-    signal = eigvecs[:, sub - n_sources:]
+    eigvals, signal = _signal_subspace(smoothed_covariance(meas.values, sub), n_sources)
     denom = sub - np.sum(np.abs(signal.conj().T @ steering) ** 2, axis=0)
     spec = 1.0 / np.maximum(denom, sub * np.finfo(float).eps)
     min_sep_cells = max(1, int(round(min_peak_sep_deg / grid_step_deg)))
     peaks = _pick_peaks(grid_deg, spec, n_sources, min_sep_cells)
     return DoaEstimate(np.sort(np.asarray(peaks)), grid_deg, spec,
-                       rank_ok=rank >= n_sources)
+                       rank_ok=bool(eigvals[0] > max(_RANK_TOL * eigvals[-1], 0.0)))
 
 
 def match_nearest(estimates: Sequence[float], truths: Sequence[float]) -> np.ndarray:

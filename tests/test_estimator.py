@@ -95,13 +95,12 @@ def explicit_grid_spectrum(values, n_sources, grid):
     """The signal-subspace spectrum of ``ss_music``, scanned over ``grid``.
 
     The reference for the grid that ``ss_music`` takes from its cache:
-    the same arithmetic over an explicitly built ``(grid_deg, steering)``
-    pair.
+    the same arithmetic, top-D eigensolver included, over an explicitly
+    built ``(grid_deg, steering)`` pair.
     """
     _, steering = grid
     sub = steering.shape[0]
-    _, eigvecs = np.linalg.eigh(smoothed_covariance(values, sub))
-    signal = eigvecs[:, sub - n_sources:]
+    _, signal = estimator._signal_subspace(smoothed_covariance(values, sub), n_sources)
     denom = sub - np.sum(np.abs(signal.conj().T @ steering) ** 2, axis=0)
     return 1.0 / np.maximum(denom, sub * np.finfo(float).eps)
 
@@ -164,12 +163,29 @@ class TestSampleCumulants:
     @pytest.mark.parametrize("k", [estimator._BLOCK, 2 * estimator._BLOCK + 37],
                              ids=["one-block", "ragged-last-block"])
     def test_blocked_accumulation_matches_naive_oracle(self, k):
-        # test_matches_naive_oracle is the case K < block
+        # test_matches_naive_oracle is the case K < block.  Gaussian-integer
+        # entries in {-2..2} + j{-2..2} make every single-precision product
+        # and block sum exact, so this checks the block bookkeeping alone
         rng = np.random.default_rng(k)
-        x = rng.standard_normal((3, k)) + 1j * rng.standard_normal((3, k))
+        x = (rng.integers(-2, 3, (3, k)) + 1j * rng.integers(-2, 3, (3, k))).astype(complex)
         bank = sample_cumulants(x)
         for case in (1, 2, 3):
             assert np.allclose(bank.case(case), naive_cumulants(x, case), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("k", [estimator._BLOCK, 2 * estimator._BLOCK + 37],
+                             ids=["one-block", "ragged-last-block"])
+    def test_single_precision_moments_stay_within_bound(self, k):
+        # the block GEMMs run in complex64: on Gaussian data they err by
+        # 27 and 61 float32 eps of the largest entry (3.2e-6 and 7.2e-6),
+        # far below the K^(-1/2) sampling error
+        rng = np.random.default_rng(k)
+        x = rng.standard_normal((3, k)) + 1j * rng.standard_normal((3, k))
+        bank = sample_cumulants(x)
+        bound = 256 * np.finfo(np.float32).eps
+        for case in (1, 2, 3):
+            ref = naive_cumulants(x, case)
+            err = np.max(np.abs(bank.case(case) - ref)) / np.max(np.abs(ref))
+            assert err <= bound, f"case {case}: {err:.2e} of the largest entry"
 
     def test_memory_does_not_grow_with_snapshots(self):
         # the moments are summed block by block, so K = 112000 may not
@@ -344,6 +360,73 @@ class TestSignalSubspaceScan:
         assert est.spectrum.max() <= 1.0 / (sub * np.finfo(float).eps)
         nearest = np.min(np.abs(est.angles_deg[:, None] - np.asarray(angles)), axis=0)
         assert np.all(nearest < 1e-6)
+
+
+def eigh_sizes(monkeypatch):
+    """Record the order of every ``np.linalg.eigh`` call from now on."""
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def recording(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    return sizes
+
+
+def hermitian_with_spectrum(eigvals, seed):
+    """U diag(eigvals) U^H for a random unitary U."""
+    rng = np.random.default_rng(seed)
+    n = len(eigvals)
+    u = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    return (u * np.asarray(eigvals)) @ u.conj().T
+
+
+class TestTopEigenpairs:
+    """``_signal_subspace``: subspace iteration, and ``eigh`` where it falls back."""
+
+    @pytest.mark.parametrize("snr_db", [-7.0, -1.0, 5.0, 8.0])
+    @pytest.mark.parametrize("n_sensors, truths", [
+        (7, (-40.0, -5.0, 20.0, 55.0)),
+        (9, TWELVE_SOURCES),
+        (11, TWELVE_SOURCES),
+    ], ids=["N7", "N9", "N11"])
+    def test_projector_matches_eigh(self, monkeypatch, n_sensors, truths, snr_db):
+        meas = fogna_measurement(n_sensors, truths, snr_db, 14_000, seed=500)
+        r = smoothed_covariance(meas.values, meas.lc + 1)
+        d = len(truths)
+        want_vals, want_vecs = np.linalg.eigh(r)
+        sizes = eigh_sizes(monkeypatch)
+        vals, vecs = estimator._signal_subspace(r, d)
+        assert r.shape[0] not in sizes, "the scene fell back to the full eigh"
+        signal = want_vecs[:, -d:]
+        err = np.linalg.norm(vecs @ vecs.conj().T - signal @ signal.conj().T)
+        assert err <= 1e-12
+        assert np.allclose(vals, want_vals[-d:], rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("case, iterations", [
+        ("rank-deficient", 1), ("iteration-cap", 8), ("block-half-the-matrix", 0)])
+    def test_fallback_is_eigh_bit_for_bit(self, monkeypatch, case, iterations):
+        if case == "rank-deficient":
+            # exact cumulants of one source asked for two: rank 1 < D
+            arr = SensorArray((0, 1, 2, 5, 8))
+            meas = assemble_foeca(analytic_bank(arr, [10.0]), arr)
+            r, d = smoothed_covariance(meas.values, meas.lc + 1), 2
+        elif case == "iteration-cap":
+            # eigenvalues decay by 3% a step: the D-th converges at
+            # (0.97^9)^k, too slowly for the cap of 100 // 12 = 8 iterations
+            r, d = hermitian_with_spectrum(0.97 ** np.arange(100.0), seed=3), 4
+        else:
+            # a block of D + 8 = 25 columns is half of the 50 x 50 matrix
+            r, d = hermitian_with_spectrum(0.5 ** np.arange(50.0), seed=4), 17
+        want_vals, want_vecs = np.linalg.eigh(r)
+        sizes = eigh_sizes(monkeypatch)
+        vals, vecs = estimator._signal_subspace(r, d)
+        # one projected (D + 8)-square eigh per iteration, then the full one
+        assert sizes == [d + 8] * iterations + [r.shape[0]]
+        assert np.array_equal(vals, want_vals[-d:])
+        assert np.array_equal(vecs, want_vecs[:, -d:])
 
 
 class TestRmse:
