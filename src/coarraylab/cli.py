@@ -214,8 +214,8 @@ def cmd_coupling_table(args) -> int:
 
 # ------------------------------------------------------------ experiments
 
-def _run_doa_trial(trial: int, *, array, truths, snr_list, k_list, seed, lc, grid_step,
-                   sub_len, min_sep, coupling) -> List[Dict]:
+def _run_doa_trial(trial: int, *, array, truths, snr_list, k_list, seed, grid_step,
+                   min_sep, coupling) -> List[Dict]:
     """One Monte-Carlo trial, evaluated at every sweep point.
 
     ``simulate_sweep`` draws the trial's sources and noise once from the
@@ -226,9 +226,9 @@ def _run_doa_trial(trial: int, *, array, truths, snr_list, k_list, seed, lc, gri
     scene = sim.SourceScene(truths, seed=(seed, trial))
     records = []
     for snr_db, x in sim.simulate_sweep(array, scene, snr_list, k_list, coupling):
-        meas = est.assemble_foeca(est.sample_cumulants(x), array, lc=lc)
+        meas = est.assemble_foeca(est.sample_cumulants(x), array)
         estimate = est.ss_music(meas, scene.n_sources, grid_step_deg=grid_step,
-                                subarray_len=sub_len, min_peak_sep_deg=min_sep)
+                                min_peak_sep_deg=min_sep)
         record = {
             "snr_db": snr_db,
             "n_snapshots": x.shape[1],
@@ -247,16 +247,21 @@ def _run_doa_trial(trial: int, *, array, truths, snr_list, k_list, seed, lc, gri
     return records
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS keeps one."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
 def _sweep(args, truths: Sequence[float], snr_list: Sequence[float], k_list: Sequence[int],
            name: str) -> List[Dict]:
-    """Run the trials of ``resolve`` or ``rmse`` and write ``<name>_trials.jsonl``.
+    """Run the ``resolve`` or ``rmse`` trials, write ``<name>_trials.jsonl``, return its records.
 
-    Every setting is checked, and the array, Lc, subarray length and scan
-    grid are resolved, before anything is printed or written, so a
-    rejected sweep leaves stdout empty and no file.  With ``--jobs`` above
-    1 the trials run in spawned worker processes, each with one BLAS
-    thread; each worker builds its own scan grid (about 0.03 s at N = 9).
-    Returns the records.
+    Every setting is checked, the capacity Lc included, and the scan grid
+    is built before anything is printed or written, so a rejected sweep
+    leaves stdout empty and no file.  With ``--jobs`` above 1 the trials
+    run in spawned workers, one BLAS thread each and at most one per trial
+    and per usable CPU; each builds its own grid (0.03 s at N = 9).
     """
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
@@ -282,10 +287,9 @@ def _sweep(args, truths: Sequence[float], snr_list: Sequence[float], k_list: Seq
         raise ValueError(f"--min-peak-sep must be a finite number of degrees >= 0, "
                          f"got {args.min_peak_sep}")
     array = geo.build_fogna(optimize(args.n_sensors).best_params)
-    lc = ca.analyze_segment(ca.foeca(array)).lc
-    sub_len = est.subarray_length(lc, len(truths), args.subarray_len)
+    sub = est.subarray_length(ca.analyze_segment(ca.foeca(array)).lc, len(truths))
     try:
-        est.steering_grid(sub_len, args.grid_step)
+        est.steering_grid(sub, args.grid_step)
     except (ValueError, MemoryError) as exc:
         raise ValueError(f"--grid-step {args.grid_step}: {exc}") from None
     jsonl_path = _out_path(args, f"{name}_trials.jsonl")
@@ -294,12 +298,11 @@ def _sweep(args, truths: Sequence[float], snr_list: Sequence[float], k_list: Seq
     print(f"seed: {args.seed}")
     run_trial = functools.partial(
         _run_doa_trial, array=array, truths=truths, snr_list=snr_list, k_list=k_list,
-        seed=args.seed, lc=lc, grid_step=args.grid_step, sub_len=sub_len,
-        min_sep=args.min_peak_sep,
+        seed=args.seed, grid_step=args.grid_step, min_sep=args.min_peak_sep,
         coupling=cp.coupling_matrix(array) if args.coupling else None,
     )
-    # a worker without a trial would only start numpy, so start no more than there are trials
-    workers = min(args.jobs, args.trials)
+    # a worker without a trial or a CPU of its own only adds start-up time
+    workers = min(args.jobs, args.trials, _usable_cpus())
     if workers > 1:
         # spawned, not forked: a forked worker inherits BLAS already started
         # with a thread per CPU, and the workers' threads oversubscribe the CPUs
@@ -433,8 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--trials", type=int, default=20)
     sweep.add_argument("--jobs", type=int, default=1, help="parallel trial workers")
     sweep.add_argument("--grid-step", type=float, default=0.05, help="spectrum grid step, degrees")
-    sweep.add_argument("--subarray-len", type=int, default=None,
-                       help="smoothing subarray length (default: maximal, Lc+1)")
     sweep.add_argument("--min-peak-sep", type=float, default=0.5,
                        help="minimum separation between picked peaks, degrees")
     sweep.add_argument("--coupling", action="store_true",

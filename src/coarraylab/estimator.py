@@ -243,18 +243,14 @@ def steering_grid(sub: int, grid_step_deg: float) -> Tuple[np.ndarray, np.ndarra
     return grid, steering
 
 
-def subarray_length(lc: int, n_sources: int, subarray_len: Optional[int] = None) -> int:
-    """The smoothing subarray length: ``subarray_len``, default Lc+1, checked.
+def subarray_length(lc: int, n_sources: int) -> int:
+    """The smoothing length Lc+1, whose capacity Lc the source count may not exceed.
 
-    The source count may not exceed the capacity Lc; the length must
-    exceed the source count and fit in the 2Lc+1 virtual ULA.
+    No other length resolves Lc sources (Pal & Vaidyanathan, IEEE TSP 58(8), 2010).
     """
     if n_sources > lc:
         raise ValueError(f"{n_sources} sources exceed the capacity Lc = {lc}")
-    sub = lc + 1 if subarray_len is None else int(subarray_len)
-    if not (n_sources < sub <= 2 * lc + 1):
-        raise ValueError(f"subarray length must lie in ({n_sources}, {2 * lc + 1}], got {sub}")
-    return sub
+    return lc + 1
 
 
 def smoothed_covariance(values: np.ndarray, sub: int) -> np.ndarray:
@@ -324,17 +320,18 @@ def ss_music(
     meas: FoecaMeasurement,
     n_sources: int,
     grid_step_deg: float = 0.05,
-    subarray_len: Optional[int] = None,
     min_peak_sep_deg: float = 0.5,
 ) -> DoaEstimate:
     """Spatial-smoothing MUSIC over the virtual-ULA measurement.
 
-    The length-(2Lc+1) measurement is cut into overlapping subvectors of
-    length ``subarray_len`` (default Lc+1, the maximum, which fixes the
-    resolvable-source capacity at Lc); the mean of their outer products
+    The length-(2Lc+1) measurement is cut into its Lc+1 overlapping
+    subvectors of length Lc+1 (``subarray_length``), which fixes the
+    resolvable-source capacity at Lc; the mean of their outer products
     is the smoothed covariance.  That mean is one Gram product of the
     window (Hankel) matrix, so memory stays O(L^2 + L*G) for G grid
-    points.
+    points.  A measurement that is not finite (the single-precision
+    moments overflow below about -175 dB SNR) gets no eigensolve: its
+    estimate has no angles, a NaN spectrum and ``rank_ok`` false.
 
     The MUSIC pseudo-spectrum is 1 / |En^H a|^2 over the noise subspace
     En.  With unit-modulus steering |a|^2 = sub, so the scan computes
@@ -353,23 +350,24 @@ def ss_music(
 
     Returns the ``n_sources`` largest well-separated spectrum peaks,
     parabolic-refined off the grid; fewer when the spectrum has fewer
-    peaks at least ``min_peak_sep_deg`` apart.
+    peaks at least ``min_peak_sep_deg`` apart.  A separation wider than
+    the grid allows one peak, however large it is.
 
-    The scan grid and steering matrix come from ``steering_grid``, whose
-    per-process cache is keyed on (subarray length, grid step), so a
-    sweep that estimates many times with one setting builds them once.
+    The scan grid and steering matrix come from the per-process cache of
+    ``steering_grid``, so a sweep at one setting builds them once.
     """
-    lc = meas.lc
     if n_sources < 1:
         raise ValueError("need at least one source")
     if not (math.isfinite(min_peak_sep_deg) and min_peak_sep_deg >= 0):
         raise ValueError(f"min_peak_sep_deg must be finite and >= 0, got {min_peak_sep_deg}")
-    sub = subarray_length(lc, n_sources, subarray_len)
+    sub = subarray_length(meas.lc, n_sources)
     grid_deg, steering = steering_grid(sub, grid_step_deg)
+    if not np.all(np.isfinite(meas.values)):
+        return DoaEstimate(np.empty(0), grid_deg, np.full(grid_deg.size, np.nan), rank_ok=False)
     eigvals, signal = _signal_subspace(smoothed_covariance(meas.values, sub), n_sources)
     denom = sub - np.sum(np.abs(signal.conj().T @ steering) ** 2, axis=0)
     spec = 1.0 / np.maximum(denom, sub * np.finfo(float).eps)
-    min_sep_cells = max(1, int(round(min_peak_sep_deg / grid_step_deg)))
+    min_sep_cells = max(1, round(min(min_peak_sep_deg / grid_step_deg, grid_deg.size)))
     peaks = _pick_peaks(grid_deg, spec, n_sources, min_sep_cells)
     return DoaEstimate(np.sort(np.asarray(peaks)), grid_deg, spec,
                        rank_ok=bool(eigvals[0] > max(_RANK_TOL * eigvals[-1], 0.0)))

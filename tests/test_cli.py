@@ -227,14 +227,25 @@ class TestExperiments:
         args = ["rmse", "--n-sensors", "7", "--n-sources", "2", "--snr-list", "5",
                 "--snapshots-list", "1500", "--grid-step", "1.2", "--seed", "7"]
         outputs = {}
-        for trials, jobs in (("2", "64"), ("3", "2"), ("1", "64"), ("2", "1")):
-            out_dir = tmp_path / f"t{trials}j{jobs}"
+        for cpus, trials, jobs in ((3, "2", "64"), (3, "3", "2"), (3, "1", "64"), (3, "2", "1"),
+                                   (3, "5", "64"), (1, "5", "64")):
+            monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+            out_dir = tmp_path / f"c{cpus}t{trials}j{jobs}"
             code, _, _ = run(capsys, *args, "--trials", trials, "--jobs", jobs,
                              "--out-dir", str(out_dir))
             assert code == 0
-            outputs[trials, jobs] = (out_dir / "rmse_trials.jsonl").read_bytes()
-        assert asked == [(2, "spawn", "1", "1")] * 2
-        assert outputs["2", "64"] == outputs["2", "1"]
+            outputs[cpus, trials, jobs] = (out_dir / "rmse_trials.jsonl").read_bytes()
+        # no more workers than trials, nor than usable CPUs
+        assert asked == [(2, "spawn", "1", "1")] * 2 + [(3, "spawn", "1", "1")]
+        assert outputs[3, "2", "64"] == outputs[3, "2", "1"]
+        assert outputs[3, "5", "64"] == outputs[1, "5", "64"]
+
+    def test_usable_cpus_follow_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        assert cli._usable_cpus() == 3
+        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+        assert cli._usable_cpus() == 1
 
     def test_jobs_leave_the_environment_unchanged(self, capsys, tmp_path, monkeypatch):
         # the workers' BLAS settings are set only while the pool runs:
@@ -323,6 +334,20 @@ class TestRecordedMisses:
         assert row["median_rmse_deg"] == f"{sum(scored) / 2:.6f}"
         assert row["mean_rmse_deg"] == f"{sum(scored) / 2:.6f}"
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_cumulants_are_misses_not_an_abort(self, capsys, tmp_path):
+        # at -400 dB the single-precision moments overflow: no eigensolve, a miss per estimate
+        code, out, err = run(capsys, "rmse", "--n-sensors", "7", "--n-sources", "2", "--seed",
+                             "1", "--trials", "2", "--snr-list=-400", "--snapshots-list", "3000",
+                             "--out-dir", str(tmp_path))
+        assert code == 0
+        assert "misses: 2 of 2 estimates" in err
+        assert "-400.0,3000,0,nan,nan" in out
+        with open(tmp_path / "rmse_trials.jsonl") as fh:
+            records = [json.loads(line) for line in fh]
+        assert [(rec["estimates"], rec["rmse"]) for rec in records] == [([], None)] * 2
+
     @pytest.mark.parametrize("grid_step", ["60", "200"])
     def test_resolve_counts_a_miss_as_unresolved(self, capsys, tmp_path, grid_step):
         # a grid of two cells (60 deg) or none (200 deg) holds no peak
@@ -397,15 +422,6 @@ class TestSweepValidation:
         assert err.startswith("error: SNR")
         assert out == ""
 
-    @pytest.mark.parametrize("sub_len", ["2", "178"])
-    def test_subarray_length_checked_before_trials(self, capsys, tmp_path, sub_len):
-        # the bound 2*Lc+1 = 177 needs the array, which is designed before any output
-        code, out, err = run(capsys, *self.RMSE, "--subarray-len", sub_len,
-                             "--out-dir", str(tmp_path))
-        assert code == 2
-        assert err.startswith("error: subarray length must lie in (2, 177]")
-        assert out == "" and list(tmp_path.iterdir()) == []
-
     @pytest.mark.parametrize("base, flags, message", [
         (RMSE, ["--snr-list=5,5"], "--snr-list repeats a sweep point"),
         (RMSE, ["--snr-list=0,-0"], "--snr-list repeats a sweep point"),
@@ -421,6 +437,23 @@ class TestSweepValidation:
         code, out, err = run(capsys, *base, *flags, "--out-dir", str(tmp_path))
         assert code == 2
         assert err.startswith("error: ") and message in err
+        assert out == "" and list(tmp_path.iterdir()) == []
+
+    def test_any_finite_min_peak_sep_runs(self, capsys, tmp_path):
+        # a separation past the grid keeps one peak, here of the one source
+        code, out, err = run(capsys, "resolve", "--n-sensors", "4", "--angles=0", "--seed", "1",
+                             "--trials", "1", "--min-peak-sep", "1e308", "--out-dir", str(tmp_path))
+        assert code == 0
+        assert "misses: 0 of 1 estimates" in err
+        assert "1/1 trials within 0.4 deg" in out
+
+    def test_subarray_len_is_not_an_option(self, capsys, tmp_path):
+        # the smoothing length is always Lc+1
+        with pytest.raises(SystemExit) as exit_info:
+            main([*self.RMSE, "--subarray-len", "80", "--out-dir", str(tmp_path)])
+        assert exit_info.value.code == 2
+        out, err = capsys.readouterr()
+        assert "error: unrecognized arguments: --subarray-len 80" in err
         assert out == "" and list(tmp_path.iterdir()) == []
 
     def test_rmse_needs_a_source(self, capsys, tmp_path):

@@ -113,12 +113,12 @@ def fogna_measurement(n_sensors, truths, snr_db, n_snapshots, seed):
 
 TWELVE_SOURCES = tuple(np.linspace(-60.0, 60.0, 12))
 
-# (n_sensors, truths, snr_db, n_snapshots, grid_step, subarray length)
+# (n_sensors, truths, snr_db, n_snapshots, grid_step)
 NOISY_SCENES = [
-    (9, TWELVE_SOURCES, 5.0, 14_000, 0.02, None),
-    (7, (-30.0, 30.0), 10.0, 10_000, 0.05, 79),
-    (7, (-0.8, 0.8), 0.0, 10_000, 0.05, None),
-    (7, (-40.0, -5.0, 20.0, 55.0), 0.0, 6_000, 0.05, 60),
+    (9, TWELVE_SOURCES, 5.0, 14_000, 0.02),
+    (7, (-30.0, 30.0), 10.0, 10_000, 0.05),
+    (7, (-0.8, 0.8), 0.0, 10_000, 0.05),
+    (7, (-40.0, -5.0, 20.0, 55.0), 0.0, 6_000, 0.05),
 ]
 
 
@@ -297,23 +297,24 @@ class TestSsMusic:
             ss_music(meas, meas.lc + 1)
 
     def test_two_close_sources_match_physical_ula(self):
-        # dual route: the 7-sensor design's virtual subarray has 79
-        # elements, so classical MUSIC on a real 79-sensor ULA with the
+        # dual route: the 7-sensor design's virtual subarray has Lc+1 = 89
+        # elements, so classical MUSIC on a real 89-sensor ULA with the
         # same sources is an independent reference
         truths = (-30.0, 30.0)
         arr = build_fogna(optimize(7).best_params)
         snap = simulate(arr, SourceScene(truths, seed=21), 10.0, 10_000)
         meas = assemble_foeca(sample_cumulants(snap), arr)
-        est = ss_music(meas, 2, subarray_len=79)
+        assert meas.lc + 1 == 89
+        est = ss_music(meas, 2)
         assert np.allclose(est.angles_deg, truths, atol=0.5)
 
-        ula = SensorArray(tuple(range(79)))
+        ula = SensorArray(tuple(range(89)))
         x = simulate(ula, SourceScene(truths, seed=21), 10.0, 10_000)
         r = x @ x.conj().T / x.shape[1]
         eigvals, eigvecs = np.linalg.eigh(r)
         noise = eigvecs[:, :-2]
         grid = np.arange(-89.95, 90.0, 0.05)
-        steering = np.exp(1j * np.pi * np.arange(79)[:, None] * np.sin(np.deg2rad(grid)))
+        steering = np.exp(1j * np.pi * np.arange(89)[:, None] * np.sin(np.deg2rad(grid)))
         spec = 1.0 / np.sum(np.abs(noise.conj().T @ steering) ** 2, axis=0)
         peaks = np.argsort(spec)[::-1]
         ref = sorted(grid[peaks[:2]])
@@ -326,17 +327,38 @@ class TestSsMusic:
         with pytest.raises(ValueError, match="min_peak_sep_deg"):
             ss_music(meas, 1, min_peak_sep_deg=sep)
 
+    def test_separation_wider_than_the_grid_keeps_one_peak(self):
+        # 1e308 / 0.05 is inf in cells; it acts as 180 deg, which the grid cannot hold
+        arr = SensorArray((0, 1, 2, 5, 8))
+        meas = assemble_foeca(analytic_bank(arr, [-12.0, 10.0]), arr)
+        est = ss_music(meas, 2, min_peak_sep_deg=1e308)
+        assert len(est.angles_deg) == 1
+        assert np.array_equal(est.angles_deg, ss_music(meas, 2, min_peak_sep_deg=180.0).angles_deg)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_measurement_is_a_miss_before_any_eigensolve(self, monkeypatch, bad):
+        arr = SensorArray((0, 1, 2, 5, 8))
+        meas = assemble_foeca(analytic_bank(arr, [-12.0, 10.0]), arr)
+        meas.values[3] = bad
+
+        def no_eigensolve(*args):
+            raise AssertionError("eigensolve of a non-finite covariance")
+        monkeypatch.setattr(estimator, "_signal_subspace", no_eigensolve)
+        est = ss_music(meas, 2)
+        assert est.angles_deg.size == 0 and not est.rank_ok
+        assert est.spectrum.shape == est.grid_deg.shape and np.all(np.isnan(est.spectrum))
+
 
 class TestSignalSubspaceScan:
-    @pytest.mark.parametrize("n_sensors, truths, snr_db, n_snapshots, grid_step, sub",
+    @pytest.mark.parametrize("n_sensors, truths, snr_db, n_snapshots, grid_step",
                              NOISY_SCENES)
     def test_spectrum_matches_noise_subspace_oracle(self, n_sensors, truths, snr_db,
-                                                    n_snapshots, grid_step, sub):
+                                                    n_snapshots, grid_step):
         # the subtraction sub - |Es^H a|^2 loses about sub*eps absolutely,
         # and the smallest noisy denominator is far above that
         meas = fogna_measurement(n_sensors, truths, snr_db, n_snapshots, seed=1000)
-        est = ss_music(meas, len(truths), grid_step_deg=grid_step, subarray_len=sub)
-        grid = build_grid(meas.lc + 1 if sub is None else sub, grid_step)
+        est = ss_music(meas, len(truths), grid_step_deg=grid_step)
+        grid = build_grid(meas.lc + 1, grid_step)
         ref = noise_subspace_spectrum(meas.values, len(truths), grid)
         assert np.allclose(est.spectrum, ref, rtol=1e-8, atol=0)
         min_sep_cells = max(1, round(0.5 / grid_step))
@@ -460,14 +482,14 @@ class TestSmoothedCovariance:
         assert r.shape == (sub, sub)
         assert np.allclose(r, outer_product_covariance(meas.values, sub), rtol=1e-12, atol=0)
 
-    @pytest.mark.parametrize("n_sensors, truths, snr_db, n_snapshots, grid_step, sub",
+    @pytest.mark.parametrize("n_sensors, truths, snr_db, n_snapshots, grid_step",
                              NOISY_SCENES)
     def test_angles_match_oracle_path(self, monkeypatch, n_sensors, truths, snr_db,
-                                      n_snapshots, grid_step, sub):
+                                      n_snapshots, grid_step):
         meas = fogna_measurement(n_sensors, truths, snr_db, n_snapshots, seed=1000)
-        est = ss_music(meas, len(truths), grid_step_deg=grid_step, subarray_len=sub)
+        est = ss_music(meas, len(truths), grid_step_deg=grid_step)
         monkeypatch.setattr(estimator, "smoothed_covariance", outer_product_covariance)
-        ref = ss_music(meas, len(truths), grid_step_deg=grid_step, subarray_len=sub)
+        ref = ss_music(meas, len(truths), grid_step_deg=grid_step)
         assert np.array_equal(np.round(est.angles_deg, 6), np.round(ref.angles_deg, 6))
         assert est.rank_ok and ref.rank_ok
 
@@ -549,26 +571,29 @@ class TestSteeringGridCache:
         assert np.array_equal(first.angles_deg, second.angles_deg)
         assert np.array_equal(first.spectrum, second.spectrum)
 
-    @pytest.mark.parametrize("sub, step", [(20, 0.05), (25, 0.1)],
+    @pytest.mark.parametrize("positions, step", [((0, 1, 2, 6), 0.05), ((0, 1, 2, 5, 8), 0.1)],
                              ids=["other-length", "other-step"])
-    def test_other_setting_gets_its_own_grid(self, sub, step):
+    def test_other_setting_gets_its_own_grid(self, positions, step):
+        # the 4-sensor array's Lc = 14 gives the length 15 instead of 25
         meas = self.measurement()
         default = ss_music(meas, 2, grid_step_deg=0.05)
-        other = ss_music(meas, 2, grid_step_deg=step, subarray_len=sub)
+        arr = SensorArray(positions)
+        other_meas = assemble_foeca(analytic_bank(arr, [-12.0, 10.0]), arr)
+        other = ss_music(other_meas, 2, grid_step_deg=step)
         assert other.grid_deg is not default.grid_deg
-        oracle = build_grid(sub, step)
+        oracle = build_grid(other_meas.lc + 1, step)
         assert np.array_equal(other.grid_deg, oracle[0])
-        assert np.array_equal(other.spectrum, explicit_grid_spectrum(meas.values, 2, oracle))
+        assert np.array_equal(other.spectrum, explicit_grid_spectrum(other_meas.values, 2, oracle))
         again = ss_music(meas, 2, grid_step_deg=0.05)
         assert np.array_equal(again.grid_deg, default.grid_deg)
         assert np.array_equal(again.spectrum, default.spectrum)
 
-    @pytest.mark.parametrize("n_sensors, truths, snr_db, n_snapshots, grid_step, sub",
+    @pytest.mark.parametrize("n_sensors, truths, snr_db, n_snapshots, grid_step",
                              NOISY_SCENES)
     def test_spectrum_matches_explicitly_built_grid(self, n_sensors, truths, snr_db,
-                                                   n_snapshots, grid_step, sub):
+                                                   n_snapshots, grid_step):
         meas = fogna_measurement(n_sensors, truths, snr_db, n_snapshots, seed=1000)
-        est = ss_music(meas, len(truths), grid_step_deg=grid_step, subarray_len=sub)
-        oracle = build_grid(meas.lc + 1 if sub is None else sub, grid_step)
+        est = ss_music(meas, len(truths), grid_step_deg=grid_step)
+        oracle = build_grid(meas.lc + 1, grid_step)
         assert np.array_equal(est.grid_deg, oracle[0])
         assert np.array_equal(est.spectrum, explicit_grid_spectrum(meas.values, len(truths), oracle))
