@@ -13,7 +13,6 @@ from .coupling import coupling_leakage, coupling_matrix
 from .estimator import (
     CumulantBank,
     DoaEstimate,
-    FoecaMeasurement,
     assemble_foeca,
     sample_cumulants,
     ss_music,

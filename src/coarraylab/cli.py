@@ -105,9 +105,6 @@ def cmd_design(args) -> int:
 # --------------------------------------------------------------- coarray
 
 def _array_from_args(args) -> geo.SensorArray:
-    picks = [args.positions, args.fogna, args.split, args.cna, args.nested]
-    if sum(x is not None for x in picks) != 1:
-        raise ValueError("choose exactly one of --positions/--fogna/--split/--cna/--nested")
     if args.positions is not None:
         return geo.SensorArray(tuple(args.positions))
     if args.fogna is not None:
@@ -276,8 +273,7 @@ def _sweep(args, truths: Sequence[float], snr_list: Sequence[float], k_list: Seq
     if not snr_list or not k_list:
         raise ValueError("the sweep needs at least one SNR and one snapshot count")
     for snr_db in snr_list:
-        if math.isnan(snr_db) or snr_db == -math.inf:
-            raise ValueError(f"SNR must be a number of dB or inf, got {snr_db}")
+        sim.noise_std(snr_db)
     for flag, values in (("--snr-list", snr_list), ("--snapshots-list", k_list)):
         if len(set(values)) != len(values):
             raise ValueError(f"{flag} repeats a sweep point: {list(values)}")
@@ -447,14 +443,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_design)
 
     p = subs.add_parser("coarray", help="co-array multiset and segment report")
-    p.add_argument("--positions", type=_values(int, "comma-separated integers"),
-                   help="comma-separated integer positions")
-    p.add_argument("--fogna", type=int, help="optimized design with this many sensors")
-    p.add_argument("--split", type=_values(int, "three integers N1,N2,N3", 3),
-                   help="explicit N1,N2,N3 split")
-    p.add_argument("--cna", type=_values(int, "two integers M1,M2", 2), help="CNA blocks M1,M2")
-    p.add_argument("--nested", type=_values(int, "two integers N1,N2", 2),
-                   help="two-level nested N1,N2")
+    geometry = p.add_mutually_exclusive_group(required=True)
+    geometry.add_argument("--positions", type=_values(int, "comma-separated integers"),
+                          help="comma-separated integer positions")
+    geometry.add_argument("--fogna", type=int, help="optimized design with this many sensors")
+    geometry.add_argument("--split", type=_values(int, "three integers N1,N2,N3", 3),
+                          help="explicit N1,N2,N3 split")
+    geometry.add_argument("--cna", type=_values(int, "two integers M1,M2", 2),
+                          help="CNA blocks M1,M2")
+    geometry.add_argument("--nested", type=_values(int, "two integers N1,N2", 2),
+                          help="two-level nested N1,N2")
     p.add_argument("--which", nargs="+", default=["foeca"],
                    choices=sorted(_COARRAY_BUILDERS))
     p.add_argument("--entries", action="store_true", help="include the lag->multiplicity map")

@@ -33,7 +33,6 @@ from .signalsim import manifold
 
 __all__ = [
     "CumulantBank",
-    "FoecaMeasurement",
     "DoaEstimate",
     "sample_cumulants",
     "assemble_foeca",
@@ -139,31 +138,14 @@ def sample_cumulants(snapshots) -> CumulantBank:
     return CumulantBank(c1, c2)
 
 
-@dataclass
-class FoecaMeasurement:
-    """Redundancy-averaged cumulant value per lag of the central segment.
-
-    ``values[i]`` is the averaged measurement at lag ``lags[i]``, with
-    ``counts[i]`` contributing (case, quadruple) entries.  Conjugate
-    symmetry value(-m) = conj(value(m)) is enforced by symmetrization.
-    """
-
-    lags: np.ndarray
-    values: np.ndarray
-    counts: np.ndarray
-
-    @property
-    def lc(self) -> int:
-        return int(self.lags[-1])
-
-
-def assemble_foeca(bank: CumulantBank, array: SensorArray, lc: Optional[int] = None) -> FoecaMeasurement:
+def assemble_foeca(bank: CumulantBank, array: SensorArray, lc: Optional[int] = None) -> np.ndarray:
     """Average all cumulant entries sharing a virtual lag over [-Lc, Lc].
 
-    The divisor of each lag is its multiplicity in ``foeca(array)``.  Lc
-    defaults to the measured hole-free half-length of that co-array; a
-    given Lc must lie in [0, measured], since a lag outside the segment
-    may have no contributor.
+    Returns the complex vector of length 2Lc+1 whose entry i is lag i - Lc,
+    symmetrized so that value(-m) = conj(value(m)).  The divisor of each
+    lag is its multiplicity in ``foeca(array)``.  Lc defaults to the
+    measured hole-free half-length of that co-array; a given Lc must lie
+    in [0, measured], since a lag outside the segment may have no contributor.
     """
     if bank.n_sensors != array.n_sensors:
         raise ValueError("cumulant bank and array sensor counts differ")
@@ -174,16 +156,14 @@ def assemble_foeca(bank: CumulantBank, array: SensorArray, lc: Optional[int] = N
     if not 0 <= lc <= measured:
         raise ValueError(f"lc must lie in [0, {measured}], the array's hole-free "
                          f"co-array half-length, got {lc}")
-    counts = multiset.counts[-multiset.lo - lc:-multiset.lo + lc + 1]
     sums = np.zeros(2 * lc + 1, dtype=complex)
     for case in (1, 2, 3):
         lags = case_virtual_positions(array, case)
         vals = bank.case(case).ravel()
         sel = np.abs(lags) <= lc
         np.add.at(sums, (lags[sel] + lc).astype(np.intp), vals[sel])
-    values = sums / counts
-    values = 0.5 * (values + values[::-1].conj())
-    return FoecaMeasurement(np.arange(-lc, lc + 1), values, counts)
+    values = sums / multiset.counts[-multiset.lo - lc:-multiset.lo + lc + 1]
+    return 0.5 * (values + values[::-1].conj())
 
 
 @dataclass
@@ -317,14 +297,15 @@ def _signal_subspace(r: np.ndarray, n_sources: int) -> Tuple[np.ndarray, np.ndar
 
 
 def ss_music(
-    meas: FoecaMeasurement,
+    values: np.ndarray,
     n_sources: int,
     grid_step_deg: float = 0.05,
     min_peak_sep_deg: float = 0.5,
 ) -> DoaEstimate:
-    """Spatial-smoothing MUSIC over the virtual-ULA measurement.
+    """Spatial-smoothing MUSIC over ``assemble_foeca``'s vector of lags -Lc..Lc.
 
-    The length-(2Lc+1) measurement is cut into its Lc+1 overlapping
+    Lc is the vector's length // 2, and input that is not a 1-D vector of
+    odd length raises ``ValueError``.  It is cut into its Lc+1 overlapping
     subvectors of length Lc+1 (``subarray_length``), which fixes the
     resolvable-source capacity at Lc; the mean of their outer products
     is the smoothed covariance.  That mean is one Gram product of the
@@ -360,11 +341,14 @@ def ss_music(
         raise ValueError("need at least one source")
     if not (math.isfinite(min_peak_sep_deg) and min_peak_sep_deg >= 0):
         raise ValueError(f"min_peak_sep_deg must be finite and >= 0, got {min_peak_sep_deg}")
-    sub = subarray_length(meas.lc, n_sources)
+    values = np.asarray(values)
+    if values.ndim != 1 or values.size % 2 == 0:
+        raise ValueError(f"values must be a 1-D vector of odd length, got shape {values.shape}")
+    sub = subarray_length(values.size // 2, n_sources)
     grid_deg, steering = steering_grid(sub, grid_step_deg)
-    if not np.all(np.isfinite(meas.values)):
+    if not np.all(np.isfinite(values)):
         return DoaEstimate(np.empty(0), grid_deg, np.full(grid_deg.size, np.nan), rank_ok=False)
-    eigvals, signal = _signal_subspace(smoothed_covariance(meas.values, sub), n_sources)
+    eigvals, signal = _signal_subspace(smoothed_covariance(values, sub), n_sources)
     denom = sub - np.sum(np.abs(signal.conj().T @ steering) ** 2, axis=0)
     spec = 1.0 / np.maximum(denom, sub * np.finfo(float).eps)
     min_sep_cells = max(1, round(min(min_peak_sep_deg / grid_step_deg, grid_deg.size)))

@@ -26,6 +26,7 @@ __all__ = [
     "simulate",
     "simulate_sweep",
     "complex_gaussian_sampler",
+    "noise_std",
 ]
 
 
@@ -85,6 +86,21 @@ def manifold(array: SensorArray, thetas_deg: Sequence[float]) -> np.ndarray:
     return a
 
 
+def noise_std(snr_db: float) -> float:
+    """Per-sensor noise standard deviation sqrt(10^(-snr_db/10)); 0 at inf dB.
+
+    An SNR whose noise variance is not a finite number (NaN, -inf, or
+    below about -3082.5 dB, where it overflows) raises ``ValueError``.
+    """
+    try:
+        variance = 10.0 ** (-snr_db / 10.0)
+    except OverflowError:
+        variance = math.inf
+    if not math.isfinite(variance):
+        raise ValueError(f"SNR must be a number of dB with a finite noise variance, got {snr_db}")
+    return math.sqrt(variance)
+
+
 def simulate_sweep(
     array: SensorArray,
     scene: SourceScene,
@@ -102,7 +118,8 @@ def simulate_sweep(
     inf), both at max(k_list).
     Point (snr_db, K) takes the first K columns of each and scales the
     noise to per-sensor variance 10^(-snr_db/10); snr_db = inf
-    disables it.  Points are yielded for each SNR in turn, each over
+    disables it, and an SNR that ``noise_std`` rejects raises
+    ``ValueError``.  Points are yielded for each SNR in turn, each over
     ``k_list``, in the order given.
 
     ``coupling`` is an optional N x N matrix applied to the steering
@@ -110,6 +127,7 @@ def simulate_sweep(
     """
     if min(k_list) < 1:
         raise ValueError("need at least one snapshot")
+    sigmas = [noise_std(snr_db) for snr_db in snr_list]
     rng = np.random.default_rng(scene.seed)
     k_max = max(k_list)
     a = manifold(array, scene.angles_deg)
@@ -118,8 +136,7 @@ def simulate_sweep(
     s = scene.draw_sources(rng, k_max)
     noiseless = all(math.isinf(snr_db) for snr_db in snr_list)
     unit_noise = None if noiseless else complex_gaussian_sampler(rng, (array.n_sensors, k_max))
-    for snr_db in snr_list:
-        sigma = math.sqrt(10.0 ** (-snr_db / 10.0))
+    for snr_db, sigma in zip(snr_list, sigmas):
         for k in k_list:
             x = a @ s[:, :k]
             if not math.isinf(snr_db):

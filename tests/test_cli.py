@@ -93,10 +93,25 @@ class TestCoarray:
         report = json.loads(out[: out.rindex("}") + 1])
         assert report["dca"]["entries"] == {"0": 1}
 
+    @staticmethod
+    def usage_error(capsys, *flags):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["coarray", *flags])
+        assert exit_info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        return err
+
     def test_requires_one_geometry(self, capsys):
-        code, _, err = run(capsys, "coarray", "--positions", "0,1", "--fogna", "9")
-        assert code == 2
-        assert "exactly one" in err
+        # the geometry flags form one required mutually exclusive group
+        err = self.usage_error(capsys, "--positions", "0,1", "--fogna", "9")
+        assert ("coarraylab coarray: error: "
+                "argument --fogna: not allowed with argument --positions") in err
+
+    def test_rejects_no_geometry(self, capsys):
+        err = self.usage_error(capsys, "--which", "dca")
+        assert ("coarraylab coarray: error: one of the arguments "
+                "--positions --fogna --split --cna --nested is required") in err
 
     def test_malformed_positions(self, capsys):
         code, _, err = run(capsys, "coarray", "--positions", "3,1")
@@ -414,13 +429,15 @@ class TestSweepValidation:
 
     @pytest.mark.parametrize("flags", [
         ["rmse", "--snr-list=5,nan"], ["rmse", "--snr-list=-inf"], ["resolve", "--snr=nan"],
+        # the noise variance 10^310 overflows a double
+        ["rmse", "--snr-list=-3100"], ["resolve", "--snr=-3100"],
     ])
     def test_snr_must_be_a_number(self, capsys, tmp_path, flags):
         base = self.RMSE if flags[0] == "rmse" else self.RESOLVE
         code, out, err = run(capsys, *base, *flags[1:], "--out-dir", str(tmp_path))
         assert code == 2
         assert err.startswith("error: SNR")
-        assert out == ""
+        assert out == "" and list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("base, flags, message", [
         (RMSE, ["--snr-list=5,5"], "--snr-list repeats a sweep point"),

@@ -27,6 +27,13 @@ from coarraylab.geometry import SensorArray, build_fogna
 from coarraylab.optimizer import optimize
 from coarraylab.signalsim import SourceScene, manifold, simulate
 
+# the sign of each index's position in the virtual lag of each case
+CASE_SIGNS = {
+    1: (1, 1, 1, -1),
+    2: (1, -1, 1, -1),
+    3: (-1, -1, -1, 1),
+}
+
 CONJ_SLOTS = {
     1: (False, False, False, True),
     2: (False, True, False, True),
@@ -61,6 +68,12 @@ def analytic_bank(array, angles_deg):
             tensor += -2 * np.exp(1j * np.pi * v * math.sin(math.radians(theta)))
         cases.append(tensor)
     return CumulantBank(cases[0], cases[1])
+
+
+def lags_of(meas):
+    """The lags -Lc..Lc of an ``assemble_foeca`` vector of length 2Lc+1."""
+    lc = meas.size // 2
+    return np.arange(-lc, lc + 1)
 
 
 def outer_product_covariance(values, sub):
@@ -213,46 +226,54 @@ class TestSampleCumulants:
 
 
 class TestAssemble:
-    def test_counts_match_coarray_multiplicity(self):
+    def test_vector_is_the_mean_of_each_lags_entries(self):
+        # literal oracle: the mean of every (case, quadruple) entry whose
+        # virtual lag lies in [-Lc, Lc], then v <- (v + conj(v[::-1])) / 2
         arr = build_fogna((4, 2, 1))
-        snap = simulate(arr, SourceScene((10.0,), seed=9), 10.0, 500)
-        meas = assemble_foeca(sample_cumulants(snap), arr)
-        multiset = foeca(arr)
-        assert meas.lc == analyze_segment(multiset).lc
-        for lag in range(-meas.lc, meas.lc + 1):
-            assert meas.counts[lag + meas.lc] == multiset[lag]
+        bank = sample_cumulants(simulate(arr, SourceScene((10.0,), seed=9), 10.0, 500))
+        lc = analyze_segment(foeca(arr)).lc
+        entries = {lag: [] for lag in range(-lc, lc + 1)}
+        for case, signs in CASE_SIGNS.items():
+            tensor = bank.case(case)
+            for quad in product(range(arr.n_sensors), repeat=4):
+                lag = sum(s * arr.positions[i] for s, i in zip(signs, quad))
+                if -lc <= lag <= lc:
+                    entries[lag].append(tensor[quad])
+        oracle = np.array([np.mean(entries[lag]) for lag in range(-lc, lc + 1)])
+        oracle = (oracle + oracle[::-1].conj()) / 2
+        meas = assemble_foeca(bank, arr)
+        assert meas.shape == (2 * lc + 1,)
+        assert np.max(np.abs(meas - oracle)) <= 1e-12
 
     def test_single_broadside_source_constant(self):
         arr = SensorArray((0, 1, 3))
         snap = simulate(arr, SourceScene((0.0,), seed=10), math.inf, 32)
         meas = assemble_foeca(sample_cumulants(snap), arr)
-        assert np.allclose(meas.values, -2.0, atol=1e-12)
+        assert np.allclose(meas, -2.0, atol=1e-12)
 
     def test_two_sensor_phase_model(self):
         arr = SensorArray((0, 1))
         snap = simulate(arr, SourceScene((30.0,), seed=11), math.inf, 64)
         meas = assemble_foeca(sample_cumulants(snap), arr)
-        model = -2 * np.exp(1j * np.pi * meas.lags * 0.5)
-        assert np.allclose(meas.values, model, atol=1e-12)
+        model = -2 * np.exp(1j * np.pi * lags_of(meas) * 0.5)
+        assert np.allclose(meas, model, atol=1e-12)
 
     def test_analytic_bank_reproduces_phases(self):
         arr = SensorArray((0, 1, 2))
         theta = 23.0
         meas = assemble_foeca(analytic_bank(arr, [theta]), arr)
-        model = -2 * np.exp(1j * np.pi * meas.lags * math.sin(math.radians(theta)))
-        assert np.max(np.abs(meas.values - model)) < 1e-10
+        model = -2 * np.exp(1j * np.pi * lags_of(meas) * math.sin(math.radians(theta)))
+        assert np.max(np.abs(meas - model)) < 1e-10
 
     def test_given_lc_is_the_central_part_of_the_default(self):
         # per-lag sums do not depend on Lc, so a smaller segment is a bitwise slice
         arr = build_fogna((4, 2, 1))
         bank = sample_cumulants(simulate(arr, SourceScene((10.0,), seed=9), 10.0, 500))
         full = assemble_foeca(bank, arr)
-        for lc in (0, 5, full.lc):
+        measured = full.size // 2
+        for lc in (0, 5, measured):
             part = assemble_foeca(bank, arr, lc=lc)
-            middle = slice(full.lc - lc, full.lc + lc + 1)
-            assert np.array_equal(part.lags, full.lags[middle])
-            assert part.values.tobytes() == full.values[middle].tobytes()
-            assert np.array_equal(part.counts, full.counts[middle])
+            assert part.tobytes() == full[measured - lc:measured + lc + 1].tobytes()
 
     @pytest.mark.parametrize("lc_of", [lambda m: m + 1, lambda m: -1, lambda m: 10**6],
                              ids=["measured+1", "-1", "beyond-span"])
@@ -267,7 +288,7 @@ class TestAssemble:
         arr = build_fogna((4, 2, 1))
         snap = simulate(arr, SourceScene((-15.0, 40.0), seed=12), 0.0, 2000)
         meas = assemble_foeca(sample_cumulants(snap), arr)
-        assert np.allclose(meas.values, meas.values[::-1].conj())
+        assert np.allclose(meas, meas[::-1].conj())
 
 
 class TestSsMusic:
@@ -294,7 +315,12 @@ class TestSsMusic:
         arr = SensorArray((0, 1))
         meas = assemble_foeca(analytic_bank(arr, [0.0]), arr)
         with pytest.raises(ValueError):
-            ss_music(meas, meas.lc + 1)
+            ss_music(meas, meas.size // 2 + 1)
+
+    @pytest.mark.parametrize("shape", [(2, 25), (24,)], ids=["2-D", "even-length"])
+    def test_rejects_input_that_is_not_an_odd_length_vector(self, shape):
+        with pytest.raises(ValueError, match="1-D vector of odd length"):
+            ss_music(np.ones(shape, dtype=complex), 1)
 
     def test_two_close_sources_match_physical_ula(self):
         # dual route: the 7-sensor design's virtual subarray has Lc+1 = 89
@@ -304,7 +330,7 @@ class TestSsMusic:
         arr = build_fogna(optimize(7).best_params)
         snap = simulate(arr, SourceScene(truths, seed=21), 10.0, 10_000)
         meas = assemble_foeca(sample_cumulants(snap), arr)
-        assert meas.lc + 1 == 89
+        assert meas.size // 2 + 1 == 89
         est = ss_music(meas, 2)
         assert np.allclose(est.angles_deg, truths, atol=0.5)
 
@@ -339,7 +365,7 @@ class TestSsMusic:
     def test_non_finite_measurement_is_a_miss_before_any_eigensolve(self, monkeypatch, bad):
         arr = SensorArray((0, 1, 2, 5, 8))
         meas = assemble_foeca(analytic_bank(arr, [-12.0, 10.0]), arr)
-        meas.values[3] = bad
+        meas[3] = bad
 
         def no_eigensolve(*args):
             raise AssertionError("eigensolve of a non-finite covariance")
@@ -358,8 +384,8 @@ class TestSignalSubspaceScan:
         # and the smallest noisy denominator is far above that
         meas = fogna_measurement(n_sensors, truths, snr_db, n_snapshots, seed=1000)
         est = ss_music(meas, len(truths), grid_step_deg=grid_step)
-        grid = build_grid(meas.lc + 1, grid_step)
-        ref = noise_subspace_spectrum(meas.values, len(truths), grid)
+        grid = build_grid(meas.size // 2 + 1, grid_step)
+        ref = noise_subspace_spectrum(meas, len(truths), grid)
         assert np.allclose(est.spectrum, ref, rtol=1e-8, atol=0)
         min_sep_cells = max(1, round(0.5 / grid_step))
         ref_angles = np.sort(estimator._pick_peaks(grid[0], ref, len(truths), min_sep_cells))
@@ -377,7 +403,7 @@ class TestSignalSubspaceScan:
         arr = SensorArray(positions)
         meas = assemble_foeca(analytic_bank(arr, angles), arr)
         est = ss_music(meas, n_sources)
-        sub = meas.lc + 1
+        sub = meas.size // 2 + 1
         assert np.all(np.isfinite(est.spectrum)) and np.all(est.spectrum > 0)
         assert est.spectrum.max() <= 1.0 / (sub * np.finfo(float).eps)
         nearest = np.min(np.abs(est.angles_deg[:, None] - np.asarray(angles)), axis=0)
@@ -416,7 +442,7 @@ class TestTopEigenpairs:
     ], ids=["N7", "N9", "N11"])
     def test_projector_matches_eigh(self, monkeypatch, n_sensors, truths, snr_db):
         meas = fogna_measurement(n_sensors, truths, snr_db, 14_000, seed=500)
-        r = smoothed_covariance(meas.values, meas.lc + 1)
+        r = smoothed_covariance(meas, meas.size // 2 + 1)
         d = len(truths)
         want_vals, want_vecs = np.linalg.eigh(r)
         sizes = eigh_sizes(monkeypatch)
@@ -434,7 +460,7 @@ class TestTopEigenpairs:
             # exact cumulants of one source asked for two: rank 1 < D
             arr = SensorArray((0, 1, 2, 5, 8))
             meas = assemble_foeca(analytic_bank(arr, [10.0]), arr)
-            r, d = smoothed_covariance(meas.values, meas.lc + 1), 2
+            r, d = smoothed_covariance(meas, meas.size // 2 + 1), 2
         elif case == "iteration-cap":
             # eigenvalues decay by 3% a step: the D-th converges at
             # (0.97^9)^k, too slowly for the cap of 100 // 12 = 8 iterations
@@ -477,10 +503,10 @@ class TestSmoothedCovariance:
     @pytest.mark.parametrize("sub", [None, 79])
     def test_matches_outer_product_oracle(self, sub):
         meas = fogna_measurement(7, (-30.0, 30.0), 10.0, 10_000, seed=21)
-        sub = meas.lc + 1 if sub is None else sub
-        r = smoothed_covariance(meas.values, sub)
+        sub = meas.size // 2 + 1 if sub is None else sub
+        r = smoothed_covariance(meas, sub)
         assert r.shape == (sub, sub)
-        assert np.allclose(r, outer_product_covariance(meas.values, sub), rtol=1e-12, atol=0)
+        assert np.allclose(r, outer_product_covariance(meas, sub), rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("n_sensors, truths, snr_db, n_snapshots, grid_step",
                              NOISY_SCENES)
@@ -497,7 +523,7 @@ class TestSmoothedCovariance:
         # L = 2186: the outer-product mean would need a 2187^3 complex
         # temporary (167 GB); the Gram product keeps ss_music near 0.5 GB
         meas = fogna_measurement(19, TWELVE_SOURCES, 5.0, 14_000, seed=19)
-        assert meas.lc == 2186
+        assert meas.size // 2 == 2186
         tracemalloc.start()
         try:
             est = ss_music(meas, 12, grid_step_deg=0.05)
@@ -560,7 +586,7 @@ class TestSteeringGridCache:
     def measurement():
         arr = SensorArray((0, 1, 2, 5, 8))
         meas = assemble_foeca(analytic_bank(arr, [-12.0, 10.0]), arr)
-        assert meas.lc + 1 == 25
+        assert meas.size // 2 + 1 == 25
         return meas
 
     def test_same_setting_reuses_the_grid(self):
@@ -581,9 +607,9 @@ class TestSteeringGridCache:
         other_meas = assemble_foeca(analytic_bank(arr, [-12.0, 10.0]), arr)
         other = ss_music(other_meas, 2, grid_step_deg=step)
         assert other.grid_deg is not default.grid_deg
-        oracle = build_grid(other_meas.lc + 1, step)
+        oracle = build_grid(other_meas.size // 2 + 1, step)
         assert np.array_equal(other.grid_deg, oracle[0])
-        assert np.array_equal(other.spectrum, explicit_grid_spectrum(other_meas.values, 2, oracle))
+        assert np.array_equal(other.spectrum, explicit_grid_spectrum(other_meas, 2, oracle))
         again = ss_music(meas, 2, grid_step_deg=0.05)
         assert np.array_equal(again.grid_deg, default.grid_deg)
         assert np.array_equal(again.spectrum, default.spectrum)
@@ -594,6 +620,6 @@ class TestSteeringGridCache:
                                                    n_snapshots, grid_step):
         meas = fogna_measurement(n_sensors, truths, snr_db, n_snapshots, seed=1000)
         est = ss_music(meas, len(truths), grid_step_deg=grid_step)
-        oracle = build_grid(meas.lc + 1, grid_step)
+        oracle = build_grid(meas.size // 2 + 1, grid_step)
         assert np.array_equal(est.grid_deg, oracle[0])
-        assert np.array_equal(est.spectrum, explicit_grid_spectrum(meas.values, len(truths), oracle))
+        assert np.array_equal(est.spectrum, explicit_grid_spectrum(meas, len(truths), oracle))

@@ -14,7 +14,7 @@ import coarraylab
 MODULES = ("coarray", "coupling", "estimator", "geometry", "optimizer", "signalsim")
 
 PACKAGE_NAMES = {
-    "CumulantBank", "DoaEstimate", "FoecaMeasurement", "FognaParams", "LagCounts",
+    "CumulantBank", "DoaEstimate", "FognaParams", "LagCounts",
     "OptimizerResult", "SegmentReport", "SensorArray", "SourceScene",
     "analyze_segment", "assemble_foeca", "build_cna", "build_fogna", "build_nested",
     "competitor_dof", "coupling_leakage", "coupling_matrix", "diff_coarray", "dof_bound_ratio",

@@ -25,6 +25,7 @@ def test_quick_tour_runs_and_matches_its_comments():
     assert round(ns["leak"], 4) == 0.2137
     x = ns["x"]
     assert isinstance(x, np.ndarray) and np.iscomplexobj(x) and x.shape == (11, 10_000)
+    assert ns["values"].shape == (2 * 371 + 1,)
     angles = np.sort(ns["est"].angles_deg)
     assert angles.shape == (2,)
     assert np.all(np.abs(angles - [-0.8, 0.8]) <= 0.4)

@@ -177,6 +177,12 @@ class TestSimulateSweep:
         with pytest.raises(ValueError):
             self.points([0.0], [100, 0])
 
+    @pytest.mark.parametrize("snr_db", [math.nan, -math.inf, -3100.0])
+    def test_rejects_snr_whose_noise_variance_is_not_finite(self, snr_db):
+        # at -3100 dB the variance 10^310 overflows a double
+        with pytest.raises(ValueError, match="with a finite noise variance"):
+            self.points([5.0, snr_db], [100])
+
 
 class TestPersistence:
     def test_gaussian_sampler_unit_power(self):
