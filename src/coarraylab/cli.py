@@ -258,7 +258,8 @@ def _sweep(args, truths: Sequence[float], snr_list: Sequence[float], k_list: Seq
     is built before anything is printed or written, so a rejected sweep
     leaves stdout empty and no file.  With ``--jobs`` above 1 the trials
     run in spawned workers, one BLAS thread each and at most one per trial
-    and per usable CPU; each builds its own grid (0.03 s at N = 9).
+    and per usable CPU; each builds its own grid (0.04 to 0.07 s at N = 9
+    and a 0.02 degree step, 205 x 8999).
     """
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")

@@ -11,11 +11,12 @@ grid that ``steering_grid`` builds, over the D-dimensional signal
 subspace rather than the noise subspace, so its scan costs O(D*L*G) for
 D sources, a co-array half-length L and G grid points.
 
-Each estimate does only the linear algebra it uses.  The moment GEMMs
-of the cumulants run in single precision and are summed in double, and
-MUSIC computes only the D largest eigenpairs of the smoothed covariance
-by subspace iteration, falling back to a full ``eigh`` where that does
-not converge or the covariance has rank below D.
+Each estimate does only the linear algebra it uses.  The cumulants sum
+each distinct fourth moment once, in one single-precision GEMM per
+block of snapshots whose sums are kept in double, and MUSIC computes
+only the D largest eigenpairs of the smoothed covariance by subspace
+iteration, falling back to a full ``eigh`` where that would not
+converge within its cap or the covariance has rank below D.
 """
 
 from __future__ import annotations
@@ -68,9 +69,33 @@ class CumulantBank:
         return {1: self.case1, 2: self.case2}[j]
 
 
-# Snapshot columns per block of the moment accumulation: the N^2 x B
+# Snapshot columns per block of the moment accumulation: the (2N^2+N) x B
 # product arrays of one block are the largest temporaries at any K.
 _BLOCK = 2048
+
+
+@functools.lru_cache(maxsize=4)
+def _moment_index(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Flat indices that spread the distinct-moment matrix over the N^4 tensors.
+
+    The moment matrix has one row per pair a <= b and N^2 + P columns,
+    P = N(N+1)/2: column c*N + d holds the sum of x_a x_b x_c conj(x_d),
+    and column N^2 + pair(c, d) the sum of x_a x_b conj(x_c x_d).
+    Returns read-only ``(case1, case2)`` index arrays of shape (N,)*4:
+    entry (a,b,c,d) of case 1 is at row pair(a,b), column c*N + d, and of
+    case 2 at row pair(a,c), column N^2 + pair(b,d).
+    """
+    rows, cols = np.triu_indices(n)
+    pair = np.empty((n, n), np.intp)
+    pair[rows, cols] = pair[cols, rows] = np.arange(rows.size)
+    width = n * n + rows.size
+    case1 = (pair[:, :, None, None] * width
+             + np.arange(n * n).reshape(1, 1, n, n))
+    case2 = (pair[:, None, :, None] * width
+             + n * n + pair[None, :, None, :])
+    case1.flags.writeable = False
+    case2.flags.writeable = False
+    return case1, case2
 
 
 def sample_cumulants(snapshots) -> CumulantBank:
@@ -87,16 +112,28 @@ def sample_cumulants(snapshots) -> CumulantBank:
 
     Only cases 1 and 2 are stored; ``CumulantBank.case(3)`` derives
     case 3 as the conjugate of case 1.  Moments use the biased 1/K
-    normalization.  They are summed over blocks of B = 2048 snapshot
-    columns, each block adding its N^2 x N^2 moment products, and divided
-    by K once at the end, so memory stays O(N^4 + N^2*B) for any K.
+    normalization.
 
-    Each block's fourth-order products and its two N^2 x N^2 GEMMs run in
-    single precision (complex64 for complex snapshots, float32 for real
-    ones), and the blocks are summed in double precision.  Their rounding,
-    a few 1e-6 of the largest entry, lies far below the sampling error of
-    about K^(-1/2) (1e-2 at K = 14000).  The second moments and the
-    pairing terms stay in double precision.
+    A fourth moment does not change when its unconjugated arguments are
+    permuted, or its conjugated ones, so each distinct moment is summed
+    once.  Per block of B = 2048 snapshot columns, u holds x_a x_b for
+    the P = N(N+1)/2 pairs a <= b and W stacks x_c conj(x_d) (N^2 rows)
+    over conj(u) (P rows); one P x (N^2 + P) GEMM u W^T adds the block's
+    moments, where the two N^2 x N^2 GEMMs of every case-1 and case-2
+    entry did 2.2 to 2.5 times the work.  Both N^4 tensors are gathered
+    from that matrix (``_moment_index``), and the moments are divided by
+    K once at the end, so memory stays O(N^4 + N^2*B) for any K.
+
+    The products and the GEMM run in single precision (complex64 for
+    complex snapshots, float32 for real ones), and the blocks are summed
+    in double precision.  Their rounding, a few 1e-6 of the largest
+    entry, lies far below the sampling error of about K^(-1/2) (1e-2 at
+    K = 14000).  To keep the range of double precision, the snapshots
+    are scaled by 2^-e before the single-precision cast, with 2^e just
+    above their largest real or imaginary part, and the sums by 2^(4e)
+    after it; in the normal range a power of two commutes with rounding,
+    so the scaling changes no bit of the result.  The second moments
+    and the pairing terms stay in double precision.
     """
     x = np.asarray(snapshots)
     if x.ndim != 2:
@@ -106,31 +143,52 @@ def sample_cumulants(snapshots) -> CumulantBank:
         raise ValueError(f"need at least 2 snapshots, got {k}")
     dtype = np.result_type(x.dtype, np.float64)
     single = np.complex64 if dtype.kind == "c" else np.float32
-    ra = np.zeros((n, n), dtype)              # sum of x_a x_b
-    rb = np.zeros((n, n), dtype)              # sum of x_a conj(x_b)
-    m1 = np.zeros((n * n, n * n), dtype)      # sum of x1 x2 x3 x4*
-    m2 = np.zeros((n * n, n * n), dtype)      # sum of x1 x2* x3 x4*
+    if x.dtype.kind == "c" and not x.flags.c_contiguous:
+        parts = (x.real, x.imag)
+    else:
+        parts = (x.view(x.real.dtype),)     # a complex matrix read as its (Re, Im) pairs
+    _, e = math.frexp(max(max(np.max(part), -np.min(part)) for part in parts))
+    e = max(e, -1021)                       # 2^-e of a subnormal maximum overflows
+    scale = math.ldexp(1.0, -e)
+    p = n * (n + 1) // 2
+    width = min(k, _BLOCK)
+    xs = np.empty((n, width), single)       # the scaled block, x_a 2^-e
+    xc = np.empty((n, width), single)       # its conjugate
+    u = np.empty((p, width), single)        # x_a x_b, a <= b
+    w = np.empty((n * n + p, width), single)  # x_c conj(x_d), then conj(u)
+    v = w[:n * n].reshape(n, n, width)
+    ra = np.zeros((n, n), dtype)            # sum of x_a x_b
+    rb = np.zeros((n, n), dtype)            # sum of x_a conj(x_b)
+    m = np.zeros((p, n * n + p), dtype)     # distinct fourth moments
     for start in range(0, k, _BLOCK):
         xb = x[:, start:start + _BLOCK]
         ra += xb @ xb.T
         rb += xb @ xb.conj().T
-        xs = xb.astype(single)
-        u = (xs[:, None, :] * xs[None, :, :]).reshape(n * n, -1)          # x_a x_b per snapshot
-        v = (xs[:, None, :] * xs.conj()[None, :, :]).reshape(n * n, -1)   # x_a conj(x_b)
-        m1 += u @ v.T
-        m2 += v @ v.T
+        cols = xb.shape[1]
+        bs, bc, bu, bw = xs[:, :cols], xc[:, :cols], u[:, :cols], w[:, :cols]
+        np.multiply(xb, scale, out=bs, casting="same_kind")
+        np.conjugate(bs, out=bc)
+        row = 0
+        for a in range(n):
+            np.multiply(bs[a], bs[a:], out=bu[row:row + n - a])
+            row += n - a
+        np.multiply(bs[:, None, :], bc[None, :, :], out=v[:, :, :cols])
+        np.conjugate(bu, out=bw[n * n:])
+        m += bu @ bw.T
     ra /= k
     rb /= k
-    m1 = (m1 / k).reshape(n, n, n, n)
-    m2 = (m2 / k).reshape(n, n, n, n)
+    real = m.view(m.real.dtype)
+    np.ldexp(real, 4 * e, out=real)
+    m /= k
+    index1, index2 = _moment_index(n)
     c1 = (
-        m1
+        m.take(index1)
         - ra[:, :, None, None] * rb[None, None, :, :]
         - ra[:, None, :, None] * rb[None, :, None, :]
         - rb[:, None, None, :] * ra[None, :, :, None]
     )
     c2 = (
-        m2
+        m.take(index2)
         - rb[:, :, None, None] * rb[None, None, :, :]
         - ra[:, None, :, None] * ra.conj()[None, :, None, :]
         - rb[:, None, None, :] * rb.T[None, :, :, None]
@@ -252,6 +310,19 @@ _RANK_TOL = 1e-12
 _START_SEED = 0
 
 
+@functools.lru_cache(maxsize=1)
+def _start_block(sub: int, block: int) -> np.ndarray:
+    """The read-only orthonormal start of subspace iteration: Q of a fixed-seed complex Gaussian block.
+
+    The last one is cached per process, since a sweep estimates at one
+    size and its QR costs about an iteration.
+    """
+    rng = np.random.default_rng(_START_SEED)
+    q = np.linalg.qr(rng.standard_normal((sub, block)) + 1j * rng.standard_normal((sub, block)))[0]
+    q.flags.writeable = False
+    return q
+
+
 def _signal_subspace(r: np.ndarray, n_sources: int) -> Tuple[np.ndarray, np.ndarray]:
     """The ``n_sources`` largest eigenpairs of the Hermitian PSD matrix ``r``.
 
@@ -267,20 +338,22 @@ def _signal_subspace(r: np.ndarray, n_sources: int) -> Tuple[np.ndarray, np.ndar
     ``np.linalg.eigh`` of the whole matrix answers instead when the block
     is at least half the matrix, when the D-th Ritz value is at most
     1e-12 times the largest (the matrix has rank below D, where the
-    signal subspace is not unique), and at the iteration cap of
-    sub/block iterations, which cost about as much as the full
-    decomposition.  A scene whose D-th eigenvalue lies too close to the
-    next one to converge by then (40 sources at N = 9, 12 at N = 7) so
-    pays about twice the plain ``eigh``.
+    signal subspace is not unique), and when the iteration would not
+    converge within its cap of sub/block iterations, which cost about as
+    much as the full decomposition.  From the second iteration on, the
+    largest residual's shrink factor over the last iteration predicts
+    the iterations still needed; once they pass the cap, ``eigh`` runs
+    at once.  A scene whose D-th eigenvalue lies too close to the next
+    one (40 sources at N = 9, 12 at N = 7) so pays two iterations on top
+    of the plain ``eigh``, not the whole cap.
     """
     sub = r.shape[0]
     block = n_sources + _OVERSAMPLE
     if 2 * block < sub:
-        rng = np.random.default_rng(_START_SEED)
-        q = np.linalg.qr(rng.standard_normal((sub, block))
-                         + 1j * rng.standard_normal((sub, block)))[0]
+        q = _start_block(sub, block)
         # sub/block iterations cost about one full eigh
-        for _ in range(sub // block):
+        cap = sub // block
+        for done in range(1, cap + 1):
             z = r @ q
             theta, v = np.linalg.eigh(q.conj().T @ z)
             top = theta[-1]
@@ -288,9 +361,16 @@ def _signal_subspace(r: np.ndarray, n_sources: int) -> Tuple[np.ndarray, np.ndar
                 break
             x = q @ v[:, -n_sources:]
             rx = z @ v[:, -n_sources:]
-            residual = np.linalg.norm(rx - x * theta[-n_sources:], axis=0)
-            if np.all(residual <= _RESIDUAL_TOL * top):
+            worst = np.max(np.linalg.norm(rx - x * theta[-n_sources:], axis=0))
+            if worst <= _RESIDUAL_TOL * top:
                 return theta[-n_sources:], x
+            if done > 1:
+                shrink = worst / last
+                if not 0 < shrink < 1:
+                    break                   # the residual did not shrink
+                if done + math.log(_RESIDUAL_TOL * top / worst) / math.log(shrink) > cap:
+                    break                   # the iterations still needed pass the cap
+            last = worst
             q = np.linalg.qr(z)[0]
     eigvals, eigvecs = np.linalg.eigh(r)
     return eigvals[sub - n_sources:], eigvecs[:, sub - n_sources:]
@@ -310,8 +390,8 @@ def ss_music(
     resolvable-source capacity at Lc; the mean of their outer products
     is the smoothed covariance.  That mean is one Gram product of the
     window (Hankel) matrix, so memory stays O(L^2 + L*G) for G grid
-    points.  A measurement that is not finite (the single-precision
-    moments overflow below about -175 dB SNR) gets no eigensolve: its
+    points.  A measurement that is not finite (the double-precision
+    moments overflow below about -1523 dB SNR) gets no eigensolve: its
     estimate has no angles, a NaN spectrum and ``rank_ok`` false.
 
     The MUSIC pseudo-spectrum is 1 / |En^H a|^2 over the noise subspace
@@ -323,10 +403,10 @@ def ss_music(
 
     Es comes from ``_signal_subspace``: block subspace iteration for the
     D largest eigenpairs, O(L^2*D) per iteration instead of the O(L^3) of
-    a full ``eigh`` (4 to 6 iterations on the C10 scenes; at the
-    19-sensor design, L = 2186, 0.09 s instead of 8.6 s).  Where it does
-    not converge within its cap, or the covariance has rank below D,
-    Es is the full ``eigh``'s.  ``rank_ok`` says whether the D-th
+    a full ``eigh`` (6 or 7 iterations on the C10 scenes; at the
+    19-sensor design, L = 2186, 0.09 s instead of 8.6 s).  Where it
+    would not converge within its cap, or the covariance has rank below
+    D, Es is the full ``eigh``'s.  ``rank_ok`` says whether the D-th
     largest eigenvalue exceeds 1e-12 times the largest.
 
     Returns the ``n_sources`` largest well-separated spectrum peaks,

@@ -31,8 +31,19 @@ __all__ = [
 
 
 def complex_gaussian_sampler(rng: np.random.Generator, shape: Tuple[int, ...]) -> np.ndarray:
-    """Unit-variance circular complex Gaussian draws: the simulator's noise."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2)
+    """Unit-variance circular complex Gaussian draws: the simulator's noise.
+
+    The real block is drawn first, then the imaginary one, each scaled by
+    1/sqrt(2): bit for bit ``(g1 + 1j*g2) / sqrt(2)`` of two successive
+    ``standard_normal(shape)`` draws, built in the result and one real
+    buffer.
+    """
+    out = np.empty(shape, complex)
+    draw = np.empty(shape)
+    for part in (out.real, out.imag):
+        rng.standard_normal(out=draw)
+        np.multiply(draw, 1.0 / math.sqrt(2), out=part)
+    return out
 
 
 @dataclass(frozen=True)
@@ -140,7 +151,9 @@ def simulate_sweep(
         for k in k_list:
             x = a @ s[:, :k]
             if not math.isinf(snr_db):
-                x += sigma * unit_noise[:, :k]
+                # row by row, so the scaled noise needs one row of memory
+                for row, noise in zip(x, unit_noise):
+                    row += sigma * noise[:k]
             yield snr_db, x
 
 

@@ -352,16 +352,29 @@ class TestRecordedMisses:
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                                 "ignore:invalid value encountered:RuntimeWarning")
     def test_non_finite_cumulants_are_misses_not_an_abort(self, capsys, tmp_path):
-        # at -400 dB the single-precision moments overflow: no eigensolve, a miss per estimate
+        # at -2000 dB the double-precision moments overflow: no eigensolve, a miss per estimate
         code, out, err = run(capsys, "rmse", "--n-sensors", "7", "--n-sources", "2", "--seed",
-                             "1", "--trials", "2", "--snr-list=-400", "--snapshots-list", "3000",
+                             "1", "--trials", "2", "--snr-list=-2000", "--snapshots-list", "3000",
                              "--out-dir", str(tmp_path))
         assert code == 0
         assert "misses: 2 of 2 estimates" in err
-        assert "-400.0,3000,0,nan,nan" in out
+        assert "-2000.0,3000,0,nan,nan" in out
         with open(tmp_path / "rmse_trials.jsonl") as fh:
             records = [json.loads(line) for line in fh]
         assert [(rec["estimates"], rec["rmse"]) for rec in records] == [([], None)] * 2
+
+    def test_moments_far_below_single_precision_range_are_scored(self, capsys, tmp_path):
+        # at -200 dB the fourth moments (about 1e80) lie outside single
+        # precision but inside double: both estimates are scored
+        code, out, err = run(capsys, "rmse", "--n-sensors", "7", "--n-sources", "2", "--seed",
+                             "1", "--trials", "2", "--snr-list=-200", "--snapshots-list", "3000",
+                             "--out-dir", str(tmp_path))
+        assert code == 0
+        assert "misses: 0 of 2 estimates" in err
+        assert "-200.0,3000,2," in out
+        with open(tmp_path / "rmse_trials.jsonl") as fh:
+            records = [json.loads(line) for line in fh]
+        assert all(len(rec["estimates"]) == 2 and rec["rmse"] is not None for rec in records)
 
     @pytest.mark.parametrize("grid_step", ["60", "200"])
     def test_resolve_counts_a_miss_as_unresolved(self, capsys, tmp_path, grid_step):

@@ -135,13 +135,27 @@ NOISY_SCENES = [
 ]
 
 
+def assert_within_single_precision(bank, x):
+    """Each case within 256 float32 eps of its largest entry of the naive oracle."""
+    bound = 256 * np.finfo(np.float32).eps
+    for case in (1, 2, 3):
+        ref = naive_cumulants(x, case)
+        err = np.max(np.abs(bank.case(case) - ref)) / np.max(np.abs(ref))
+        assert err <= bound, f"case {case}: {err:.2e} of the largest entry"
+
+
+def gaussian_integers(rng, shape):
+    """Entries in {-2..2} + j{-2..2}: every single-precision product and block sum is exact."""
+    return (rng.integers(-2, 3, shape) + 1j * rng.integers(-2, 3, shape)).astype(complex)
+
+
 class TestSampleCumulants:
     def test_matches_naive_oracle(self):
+        # the moments are single-precision GEMMs: a cancelling entry of
+        # case 2 errs by 2.7e-6 here, so the bound is relative to the largest
         rng = np.random.default_rng(123)
         x = rng.standard_normal((3, 60)) + 1j * rng.standard_normal((3, 60))
-        bank = sample_cumulants(x)
-        for case in (1, 2, 3):
-            assert np.allclose(bank.case(case), naive_cumulants(x, case), atol=1e-12)
+        assert_within_single_precision(sample_cumulants(x), x)
 
     def test_bpsk_kurtosis_is_exact(self):
         # a noiseless BPSK stream gives the -2 cumulant exactly
@@ -173,32 +187,57 @@ class TestSampleCumulants:
         model = -2 * np.exp(1j * np.pi * v * 0.5)
         assert np.allclose(bank.case2, model, atol=1e-12)
 
-    @pytest.mark.parametrize("k", [estimator._BLOCK, 2 * estimator._BLOCK + 37],
-                             ids=["one-block", "ragged-last-block"])
+    @pytest.mark.parametrize("k", [60, estimator._BLOCK, 2 * estimator._BLOCK + 37],
+                             ids=["below-one-block", "one-block", "ragged-last-block"])
     def test_blocked_accumulation_matches_naive_oracle(self, k):
-        # test_matches_naive_oracle is the case K < block.  Gaussian-integer
-        # entries in {-2..2} + j{-2..2} make every single-precision product
-        # and block sum exact, so this checks the block bookkeeping alone
+        # Gaussian-integer snapshots make the single-precision moments
+        # exact, so this checks the block and moment bookkeeping alone
         rng = np.random.default_rng(k)
-        x = (rng.integers(-2, 3, (3, k)) + 1j * rng.integers(-2, 3, (3, k))).astype(complex)
+        x = gaussian_integers(rng, (3, k))
         bank = sample_cumulants(x)
+        for case in (1, 2, 3):
+            assert np.allclose(bank.case(case), naive_cumulants(x, case), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n, kind", [(1, "complex"), (2, "complex"), (3, "real")],
+                             ids=["N1", "N2", "real-float32-path"])
+    def test_small_and_real_inputs_match_naive_oracle(self, n, kind):
+        # the distinct-moment index maps at their smallest sizes, and the
+        # float32 GEMM of real snapshots, on exact integer data
+        rng = np.random.default_rng(n)
+        k = estimator._BLOCK + 37
+        x = gaussian_integers(rng, (n, k))
+        if kind == "real":
+            x = x.real.copy()
+        bank = sample_cumulants(x)
+        assert bank.case1.dtype == (np.float64 if kind == "real" else np.complex128)
         for case in (1, 2, 3):
             assert np.allclose(bank.case(case), naive_cumulants(x, case), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("k", [estimator._BLOCK, 2 * estimator._BLOCK + 37],
                              ids=["one-block", "ragged-last-block"])
     def test_single_precision_moments_stay_within_bound(self, k):
-        # the block GEMMs run in complex64: on Gaussian data they err by
-        # 27 and 61 float32 eps of the largest entry (3.2e-6 and 7.2e-6),
-        # far below the K^(-1/2) sampling error
+        # the block GEMM runs in complex64: on Gaussian data it errs by 42
+        # and 60 float32 eps of the largest entry (5.0e-6 and 7.2e-6), far
+        # below the K^(-1/2) sampling error
         rng = np.random.default_rng(k)
         x = rng.standard_normal((3, k)) + 1j * rng.standard_normal((3, k))
+        assert_within_single_precision(sample_cumulants(x), x)
+
+    @pytest.mark.parametrize("kind", ["complex", "real"])
+    @pytest.mark.parametrize("power", [-100, 100, 200])
+    def test_power_of_two_scaling_is_exact(self, power, kind):
+        # single precision holds the moments of x 2^100 (1e120) or x 2^-100
+        # (1e-120) only because the snapshots are scaled into its range first
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal((4, estimator._BLOCK + 37))
+        if kind == "complex":
+            x = x + 1j * rng.standard_normal(x.shape)
         bank = sample_cumulants(x)
-        bound = 256 * np.finfo(np.float32).eps
-        for case in (1, 2, 3):
-            ref = naive_cumulants(x, case)
-            err = np.max(np.abs(bank.case(case) - ref)) / np.max(np.abs(ref))
-            assert err <= bound, f"case {case}: {err:.2e} of the largest entry"
+        scaled = sample_cumulants(x * 2.0 ** power)
+        factor = 2.0 ** (4 * power)
+        assert np.all(np.isfinite(scaled.case1)) and np.all(np.isfinite(scaled.case2))
+        assert np.array_equal(scaled.case1, factor * bank.case1)
+        assert np.array_equal(scaled.case2, factor * bank.case2)
 
     def test_memory_does_not_grow_with_snapshots(self):
         # the moments are summed block by block, so K = 112000 may not
@@ -454,16 +493,17 @@ class TestTopEigenpairs:
         assert np.allclose(vals, want_vals[-d:], rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("case, iterations", [
-        ("rank-deficient", 1), ("iteration-cap", 8), ("block-half-the-matrix", 0)])
+        ("rank-deficient", 1), ("predicted-past-cap", 2), ("block-half-the-matrix", 0)])
     def test_fallback_is_eigh_bit_for_bit(self, monkeypatch, case, iterations):
         if case == "rank-deficient":
             # exact cumulants of one source asked for two: rank 1 < D
             arr = SensorArray((0, 1, 2, 5, 8))
             meas = assemble_foeca(analytic_bank(arr, [10.0]), arr)
             r, d = smoothed_covariance(meas, meas.size // 2 + 1), 2
-        elif case == "iteration-cap":
+        elif case == "predicted-past-cap":
             # eigenvalues decay by 3% a step: the D-th converges at
-            # (0.97^9)^k, too slowly for the cap of 100 // 12 = 8 iterations
+            # (0.97^9)^k, which two iterations show to be too slow for
+            # the cap of 100 // 12 = 8 iterations
             r, d = hermitian_with_spectrum(0.97 ** np.arange(100.0), seed=3), 4
         else:
             # a block of D + 8 = 25 columns is half of the 50 x 50 matrix
@@ -475,6 +515,38 @@ class TestTopEigenpairs:
         assert sizes == [d + 8] * iterations + [r.shape[0]]
         assert np.array_equal(vals, want_vals[-d:])
         assert np.array_equal(vecs, want_vecs[:, -d:])
+
+
+    @pytest.mark.parametrize("n_sensors, n_sources, snr_db, n_snapshots, seed", [
+        *[(7, 12, 5.0, 14_000, seed) for seed in range(4)],
+        (9, 40, 0.0, 10_000, 2),
+    ], ids=["N7-D12-seed0", "N7-D12-seed1", "N7-D12-seed2", "N7-D12-seed3", "C09"])
+    def test_close_gap_scene_falls_back_after_two_iterations(self, monkeypatch, n_sensors,
+                                                             n_sources, snr_db, n_snapshots, seed):
+        # the D-th eigenvalue lies too close to the first one outside the
+        # block to converge within the cap (4 iterations at both sizes)
+        truths = tuple(np.linspace(-60.0, 60.0, n_sources))
+        meas = fogna_measurement(n_sensors, truths, snr_db, n_snapshots, seed)
+        r = smoothed_covariance(meas, meas.size // 2 + 1)
+        want_vals, want_vecs = np.linalg.eigh(r)
+        sizes = eigh_sizes(monkeypatch)
+        vals, vecs = estimator._signal_subspace(r, n_sources)
+        assert sizes == [n_sources + 8] * 2 + [r.shape[0]]
+        assert np.array_equal(vals, want_vals[-n_sources:])
+        assert np.array_equal(vecs, want_vecs[:, -n_sources:])
+
+    def test_c10_scenes_stay_on_the_iteration_path(self, monkeypatch):
+        # the C10 sweep's N = 9, 12-source trials: seeds (500, trial), K = 14000
+        sizes, fallbacks = eigh_sizes(monkeypatch), []
+        for trial in range(3):
+            for snr_db in (-7.0, -1.0, 5.0, 8.0):
+                meas = fogna_measurement(9, TWELVE_SOURCES, snr_db, 14_000, (500, trial))
+                r = smoothed_covariance(meas, meas.size // 2 + 1)
+                sizes.clear()
+                estimator._signal_subspace(r, 12)
+                if r.shape[0] in sizes:
+                    fallbacks.append((trial, snr_db))
+        assert fallbacks == []
 
 
 class TestRmse:

@@ -173,6 +173,22 @@ class TestSimulateSweep:
         for (_, x), k in zip(self.points([6.0], [400, 250]), (400, 250)):
             assert np.array_equal(x, a @ s[:, :k] + sigma * unit[:, :k])
 
+    def test_points_are_the_literal_model(self):
+        # x = A S + sigma * (g1 + j g2) / sqrt(2) bit for bit, noiseless
+        # points included, with the noise drawn by hand
+        rng = np.random.default_rng([21, 3])
+        s = rng.choice([-1.0, 1.0], size=(2, 300))
+        noise = (rng.standard_normal((4, 300)) + 1j * rng.standard_normal((4, 300))) / math.sqrt(2)
+        a = manifold(self.ARR, self.SCENE.angles_deg)
+        for (snr_db, x), (want_snr, k) in zip(self.points([math.inf, -7.0, 8.0], [300, 120]),
+                                              [(snr, k) for snr in (math.inf, -7.0, 8.0)
+                                               for k in (300, 120)]):
+            assert snr_db == want_snr
+            want = a @ s[:, :k]
+            if not math.isinf(snr_db):
+                want = want + math.sqrt(10.0 ** (-snr_db / 10.0)) * noise[:, :k]
+            assert np.array_equal(x.view(float), want.view(float))
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             self.points([0.0], [100, 0])
@@ -185,6 +201,18 @@ class TestSimulateSweep:
 
 
 class TestPersistence:
+    @pytest.mark.parametrize("shape, seed", [((7, 40_000), 1), ((9, 14_000), (500, 3)),
+                                             ((3, 5), 2)], ids=["N7", "N9", "tiny"])
+    def test_gaussian_sampler_is_the_literal_draw(self, shape, seed):
+        # built in place, bit for bit (g1 + j g2) / sqrt(2), and the
+        # generator is left where the literal draw leaves it
+        rng, literal = np.random.default_rng(seed), np.random.default_rng(seed)
+        draws = complex_gaussian_sampler(rng, shape)
+        want = (literal.standard_normal(shape) + 1j * literal.standard_normal(shape)) / math.sqrt(2)
+        assert draws.shape == shape and draws.dtype == np.complex128
+        assert np.array_equal(draws.view(float), want.view(float))
+        assert rng.standard_normal() == literal.standard_normal()
+
     def test_gaussian_sampler_unit_power(self):
         rng = np.random.default_rng(0)
         draws = complex_gaussian_sampler(rng, (1, 100_000))
