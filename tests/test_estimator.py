@@ -223,6 +223,20 @@ class TestSampleCumulants:
         x = rng.standard_normal((3, k)) + 1j * rng.standard_normal((3, k))
         assert_within_single_precision(sample_cumulants(x), x)
 
+    def test_strided_input_matches_its_contiguous_copy(self):
+        # a complex column slice is not C-contiguous, so its largest part
+        # is read from .real and .imag instead of a float view; an
+        # imaginary spike of 2^40 overflows single precision unless found
+        rng = np.random.default_rng(4)
+        wide = rng.standard_normal((3, 3000)) + 1j * rng.standard_normal((3, 3000))
+        wide[1, 7] += 2.0 ** 40 * 1j
+        strided, copy = wide[:, :2500], np.ascontiguousarray(wide[:, :2500])
+        assert not strided.flags.c_contiguous
+        bank, want = sample_cumulants(strided), sample_cumulants(copy)
+        assert np.all(np.isfinite(bank.case1)) and np.all(np.isfinite(bank.case2))
+        assert np.array_equal(bank.case1, want.case1)
+        assert np.array_equal(bank.case2, want.case2)
+
     @pytest.mark.parametrize("kind", ["complex", "real"])
     @pytest.mark.parametrize("power", [-100, 100, 200])
     def test_power_of_two_scaling_is_exact(self, power, kind):
