@@ -143,10 +143,7 @@ def sample_cumulants(snapshots) -> CumulantBank:
         raise ValueError(f"need at least 2 snapshots, got {k}")
     dtype = np.result_type(x.dtype, np.float64)
     single = np.complex64 if dtype.kind == "c" else np.float32
-    if x.dtype.kind == "c" and not x.flags.c_contiguous:
-        parts = (x.real, x.imag)
-    else:
-        parts = (x.view(x.real.dtype),)     # a complex matrix read as its (Re, Im) pairs
+    parts = (x.real, x.imag) if x.dtype.kind == "c" else (x,)
     _, e = math.frexp(max(max(np.max(part), -np.min(part)) for part in parts))
     e = max(e, -1021)                       # 2^-e of a subnormal maximum overflows
     scale = math.ldexp(1.0, -e)
@@ -333,7 +330,13 @@ def _signal_subspace(r: np.ndarray, n_sources: int) -> Tuple[np.ndarray, np.ndar
     product Z = R Q per iteration.  The Ritz pairs come from the
     projected matrix Q^H Z, and R X = Z V gives their residuals without
     a second product.  The iteration stops once every one of the D
-    residuals is at most 1e-13 times the largest Ritz value.
+    residuals is at most 1e-13 times the largest Ritz value.  It runs on
+    R 2^-e, with 2^e just above R's largest diagonal entry, so that the
+    residuals' squares neither underflow (a covariance below about
+    1e-160, which would pass the test unconverged) nor overflow (above
+    about 1e155, which would fall back); in the normal range a power of
+    two commutes with rounding, so the scaling changes no bit of the
+    result.
 
     ``np.linalg.eigh`` of the whole matrix answers instead when the block
     is at least half the matrix, when the D-th Ritz value is at most
@@ -350,11 +353,14 @@ def _signal_subspace(r: np.ndarray, n_sources: int) -> Tuple[np.ndarray, np.ndar
     sub = r.shape[0]
     block = n_sources + _OVERSAMPLE
     if 2 * block < sub:
+        _, e = math.frexp(np.max(r.diagonal().real))
+        e = max(e, -1021)                   # 2^-e of a subnormal maximum overflows
+        scaled = r * math.ldexp(1.0, -e)
         q = _start_block(sub, block)
         # sub/block iterations cost about one full eigh
         cap = sub // block
         for done in range(1, cap + 1):
-            z = r @ q
+            z = scaled @ q
             theta, v = np.linalg.eigh(q.conj().T @ z)
             top = theta[-1]
             if not theta[-n_sources] > max(_RANK_TOL * top, 0.0):
@@ -363,7 +369,7 @@ def _signal_subspace(r: np.ndarray, n_sources: int) -> Tuple[np.ndarray, np.ndar
             rx = z @ v[:, -n_sources:]
             worst = np.max(np.linalg.norm(rx - x * theta[-n_sources:], axis=0))
             if worst <= _RESIDUAL_TOL * top:
-                return theta[-n_sources:], x
+                return np.ldexp(theta[-n_sources:], e), x
             if done > 1:
                 shrink = worst / last
                 if not 0 < shrink < 1:

@@ -224,9 +224,8 @@ class TestSampleCumulants:
         assert_within_single_precision(sample_cumulants(x), x)
 
     def test_strided_input_matches_its_contiguous_copy(self):
-        # a complex column slice is not C-contiguous, so its largest part
-        # is read from .real and .imag instead of a float view; an
-        # imaginary spike of 2^40 overflows single precision unless found
+        # a complex column slice is not C-contiguous; an imaginary spike
+        # of 2^40 overflows single precision unless the scaling finds it
         rng = np.random.default_rng(4)
         wide = rng.standard_normal((3, 3000)) + 1j * rng.standard_normal((3, 3000))
         wide[1, 7] += 2.0 ** 40 * 1j
@@ -414,6 +413,18 @@ class TestSsMusic:
         assert len(est.angles_deg) == 1
         assert np.array_equal(est.angles_deg, ss_music(meas, 2, min_peak_sep_deg=180.0).angles_deg)
 
+    @pytest.mark.parametrize("power", [-70, 70])
+    def test_estimate_does_not_depend_on_a_power_of_two_scale(self, power):
+        # snapshots x 2^-70 give a smoothed covariance near 1e-169, and
+        # x 2^70 one near 1e168: the estimate is the same bit for bit
+        arr = build_fogna(optimize(7).best_params)
+        snap = simulate(arr, SourceScene((-40.0, -5.0, 20.0, 55.0), seed=3), 5.0, 6_000)
+        want = ss_music(assemble_foeca(sample_cumulants(snap), arr), 4)
+        got = ss_music(assemble_foeca(sample_cumulants(snap * 2.0 ** power), arr), 4)
+        assert np.array_equal(got.spectrum, want.spectrum)
+        assert np.array_equal(got.angles_deg, want.angles_deg)
+        assert got.rank_ok and want.angles_deg.size == 4
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_measurement_is_a_miss_before_any_eigensolve(self, monkeypatch, bad):
         arr = SensorArray((0, 1, 2, 5, 8))
@@ -548,6 +559,32 @@ class TestTopEigenpairs:
         assert sizes == [n_sources + 8] * 2 + [r.shape[0]]
         assert np.array_equal(vals, want_vals[-n_sources:])
         assert np.array_equal(vecs, want_vecs[:, -n_sources:])
+
+    @pytest.mark.parametrize("power", [-900, -560, 560, 900])
+    def test_power_of_two_scaling_is_exact(self, monkeypatch, power):
+        # the squared residuals of a covariance near 1e-169 (2^-560)
+        # underflow and those near 1e168 overflow unless it is scaled first
+        meas = fogna_measurement(9, TWELVE_SOURCES, 5.0, 14_000, (500, 0))
+        r = smoothed_covariance(meas, meas.size // 2 + 1)
+        sizes = eigh_sizes(monkeypatch)
+        want_vals, want_vecs = estimator._signal_subspace(r, 12)
+        iterations = list(sizes)
+        sizes.clear()
+        vals, vecs = estimator._signal_subspace(r * 2.0 ** power, 12)
+        assert sizes == iterations == [20] * len(iterations)
+        assert np.array_equal(vals, want_vals * 2.0 ** power)
+        assert np.array_equal(vecs, want_vecs)
+
+    def test_subnormal_covariance_matches_eigh(self, monkeypatch):
+        meas = fogna_measurement(9, TWELVE_SOURCES, 5.0, 14_000, (500, 0))
+        r = smoothed_covariance(meas, meas.size // 2 + 1) * 1e-315
+        want_vals, want_vecs = np.linalg.eigh(r)
+        sizes = eigh_sizes(monkeypatch)
+        vals, vecs = estimator._signal_subspace(r, 12)
+        assert r.shape[0] not in sizes, "the scene fell back to the full eigh"
+        signal = want_vecs[:, -12:]
+        assert np.linalg.norm(vecs @ vecs.conj().T - signal @ signal.conj().T) <= 1e-12
+        assert np.allclose(vals, want_vals[-12:], rtol=1e-13, atol=0)
 
     def test_c10_scenes_stay_on_the_iteration_path(self, monkeypatch):
         # the C10 sweep's N = 9, 12-source trials: seeds (500, trial), K = 14000
