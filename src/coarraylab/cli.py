@@ -19,6 +19,7 @@ import json
 import math
 import multiprocessing
 import os
+import statistics
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, Optional, Sequence
@@ -258,8 +259,8 @@ def _sweep(args, truths: Sequence[float], snr_list: Sequence[float], k_list: Seq
     is built before anything is printed or written, so a rejected sweep
     leaves stdout empty and no file.  With ``--jobs`` above 1 the trials
     run in spawned workers, one BLAS thread each and at most one per trial
-    and per usable CPU; each builds its own grid (0.04 to 0.07 s at N = 9
-    and a 0.02 degree step, 205 x 8999).
+    and per usable CPU; each builds its own grid (about 3 ms at N = 9 and
+    a 0.02 degree step: 16 steering rows of 8999 points).
     """
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
@@ -362,8 +363,10 @@ def cmd_rmse(args) -> int:
             vals = [r["rmse"] for r in records
                     if r["snr_db"] == snr_db and r["n_snapshots"] == k and r["rmse"] is not None]
             if vals:
+                # statistics.median gives np.median's value without its
+                # first call's import of numpy.ma (about 10 ms a run)
                 rows.append([snr_db, k, len(vals),
-                             f"{float(np.median(vals)):.6f}", f"{float(np.mean(vals)):.6f}"])
+                             f"{statistics.median(vals):.6f}", f"{float(np.mean(vals)):.6f}"])
             else:
                 rows.append([snr_db, k, 0, "nan", "nan"])
     header = ["snr_db", "n_snapshots", "n_trials", "median_rmse_deg", "mean_rmse_deg"]

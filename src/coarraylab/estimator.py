@@ -7,9 +7,11 @@ case cumulants identical so cross-case pooling is unbiased), then run
 spatial-smoothing MUSIC on the resulting single-snapshot virtual-ULA
 measurement.  The averaging divides each lag's sum by its multiplicity
 in ``coarray.foeca``, so lags are counted only there.  MUSIC scans the
-grid that ``steering_grid`` builds, over the D-dimensional signal
-subspace rather than the noise subspace, so its scan costs O(D*L*G) for
-D sources, a co-array half-length L and G grid points.
+D-dimensional signal subspace as one trigonometric polynomial of degree
+L, root-MUSIC's, over the grid that ``steering_grid`` builds: its
+coefficients cost O(D*L*log L) and its evaluation O(L*G) for D sources,
+a co-array half-length L and G grid points, and the grid keeps only
+about sqrt(L) steering rows.
 
 Each estimate does only the linear algebra it uses.  The cumulants sum
 each distinct fourth moment once, in one single-precision GEMM per
@@ -253,17 +255,19 @@ def _pick_peaks(grid: np.ndarray, spec: np.ndarray, n_sources: int, min_sep_cell
 
 @functools.lru_cache(maxsize=1)
 def steering_grid(sub: int, grid_step_deg: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Scan grid and virtual-ULA steering matrix for one (length, step) pair.
+    """Scan grid and the virtual-ULA steering rows one length's scan uses.
 
     Returns ``(grid_deg, steering)``: ``grid_deg`` steps through the open
     range (-90, 90) degrees, and ``steering`` is ``signalsim.manifold``
-    of the ``sub``-element ULA at positions 0..sub-1 over it.  A step that
-    is not finite and positive raises ``ValueError``, and so does one too
-    small for ``np.arange`` to size (1e-300); a grid too large to
-    allocate raises ``MemoryError``.  Both arrays are read-only, and the
-    last pair is cached per process, since a sweep estimates with one
-    setting.  The cache keeps that one grid alive: about 315 MB for the
-    19-sensor design (length 2187) at a 0.02 degree step.
+    of the ULA at positions 0..b over it, b = ceil(sqrt(sub)): the powers
+    z^0..z^b of z = exp(j*pi*sin(theta)) that ``ss_music`` evaluates its
+    degree sub-1 polynomial with.  A step that is not finite and
+    positive raises ``ValueError``, and so does one too small for
+    ``np.arange`` to size (1e-300); a grid too large to allocate raises
+    ``MemoryError``.  Both arrays are read-only, and the last pair is
+    cached per process, since a sweep estimates with one setting.  The
+    cache keeps that one grid alive: about 6.9 MB for the 19-sensor
+    design (length 2187, b = 47) at a 0.02 degree step.
     """
     if sub < 1:
         raise ValueError(f"subarray length must be positive, got {sub}")
@@ -272,7 +276,8 @@ def steering_grid(sub: int, grid_step_deg: float) -> Tuple[np.ndarray, np.ndarra
     grid = np.arange(-90.0 + grid_step_deg, 90.0, grid_step_deg)
     # arange can overshoot its stop by rounding (90.00000000000684 at a 0.015 step)
     grid = grid[grid < 90.0]
-    steering = manifold(SensorArray(tuple(range(sub))), grid)
+    baby_steps = math.isqrt(sub - 1) + 1     # ceil(sqrt(sub))
+    steering = manifold(SensorArray(tuple(range(baby_steps + 1))), grid)
     grid.flags.writeable = False
     steering.flags.writeable = False
     return grid, steering
@@ -382,6 +387,35 @@ def _signal_subspace(r: np.ndarray, n_sources: int) -> Tuple[np.ndarray, np.ndar
     return eigvals[sub - n_sources:], eigvecs[:, sub - n_sources:]
 
 
+def _signal_polynomial(signal: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """Re of sum_{m=1}^{sub-1} c_m z^m over the grid, c_m the signal eigenvectors' summed autocorrelation.
+
+    For steering a = (z^0..z^{sub-1}), |Es^H a|^2 = D + 2 Re of that sum
+    (root-MUSIC's polynomial: Barabell, ICASSP 1983; Rao & Hari, IEEE
+    TASSP 37(12), 1989), with c_m = sum_k sum_q e_k[q] conj(e_k[q+m]).
+    The c_m come from one FFT autocorrelation of the sub x D ``signal``,
+    zero-padded to the power of two n >= 2 sub - 1 so that no lag wraps.
+    The sum is evaluated baby-step/giant-step over ``powers``, the rows
+    z^0..z^b of ``steering_grid``: writing m = i*b + j, one
+    (ceil(sub/b) x b) @ (b x G) GEMM gives each row's sum_j c_{ib+j} z^j,
+    and ceil(sub/b) - 1 Horner steps in w = z^b add the rows up.
+    """
+    sub = signal.shape[0]
+    b = powers.shape[0] - 1
+    n = 1 << (2 * sub - 2).bit_length()
+    spectra = np.fft.fft(signal, n, axis=0)
+    power = np.sum(spectra.real ** 2 + spectra.imag ** 2, axis=1)
+    rows = -(-sub // b)
+    table = np.zeros(rows * b, complex)
+    table[1:sub] = np.fft.rfft(power)[1:sub] / n
+    partial = table.reshape(rows, b) @ powers[:b]
+    acc = partial[-1]
+    for row in partial[-2::-1]:
+        acc *= powers[b]
+        acc += row
+    return acc.real
+
+
 def ss_music(
     values: np.ndarray,
     n_sources: int,
@@ -395,7 +429,7 @@ def ss_music(
     subvectors of length Lc+1 (``subarray_length``), which fixes the
     resolvable-source capacity at Lc; the mean of their outer products
     is the smoothed covariance.  That mean is one Gram product of the
-    window (Hankel) matrix, so memory stays O(L^2 + L*G) for G grid
+    window (Hankel) matrix, so memory stays O(L^2 + sqrt(L)*G) for G grid
     points.  A measurement that is not finite (the double-precision
     moments overflow below about -1523 dB SNR) gets no eigensolve: its
     estimate has no angles, a NaN spectrum and ``rank_ok`` false.
@@ -403,9 +437,13 @@ def ss_music(
     The MUSIC pseudo-spectrum is 1 / |En^H a|^2 over the noise subspace
     En.  With unit-modulus steering |a|^2 = sub, so the scan computes
     sub - |Es^H a|^2 over the D = ``n_sources`` dimensional signal
-    subspace Es instead: O(D*L*G) work and a D x G temporary, where the
-    noise subspace would cost O(L^2*G).  The subtraction is floored at
-    its rounding error, sub*eps, where exact cumulants cancel it.
+    subspace Es instead, and takes it as one Hermitian polynomial in
+    z = exp(j*pi*sin(theta)): (sub - D) - 2 Re sum_{m>=1} c_m z^m
+    (``_signal_polynomial``).  Its coefficients cost O(D*L*log L) and its
+    baby-step/giant-step evaluation O(L*G) work with a sqrt(L) x G
+    temporary, where the noise subspace would cost O(L^2*G).  The
+    subtraction is floored at its rounding error, sub*eps, where exact
+    cumulants cancel it.
 
     Es comes from ``_signal_subspace``: block subspace iteration for the
     D largest eigenpairs, O(L^2*D) per iteration instead of the O(L^3) of
@@ -420,8 +458,9 @@ def ss_music(
     peaks at least ``min_peak_sep_deg`` apart.  A separation wider than
     the grid allows one peak, however large it is.
 
-    The scan grid and steering matrix come from the per-process cache of
-    ``steering_grid``, so a sweep at one setting builds them once.
+    The scan grid and its steering rows z^0..z^b come from the
+    per-process cache of ``steering_grid``, so a sweep at one setting
+    builds them once.
     """
     if n_sources < 1:
         raise ValueError("need at least one source")
@@ -435,7 +474,7 @@ def ss_music(
     if not np.all(np.isfinite(values)):
         return DoaEstimate(np.empty(0), grid_deg, np.full(grid_deg.size, np.nan), rank_ok=False)
     eigvals, signal = _signal_subspace(smoothed_covariance(values, sub), n_sources)
-    denom = sub - np.sum(np.abs(signal.conj().T @ steering) ** 2, axis=0)
+    denom = (sub - n_sources) - 2 * _signal_polynomial(signal, steering)
     spec = 1.0 / np.maximum(denom, sub * np.finfo(float).eps)
     min_sep_cells = max(1, round(min(min_peak_sep_deg / grid_step_deg, grid_deg.size)))
     peaks = _pick_peaks(grid_deg, spec, n_sources, min_sep_cells)

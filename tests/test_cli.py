@@ -209,6 +209,24 @@ class TestExperiments:
         assert len(rows) == 2
         assert all(r["n_trials"] == "2" for r in rows)
 
+    @pytest.mark.parametrize("trials", [1, 2, 3, 4])
+    def test_rmse_summary_medians_are_numpys(self, capsys, tmp_path, trials):
+        # the middle value, or the mean of the middle two at an even count
+        code, _, _ = run(capsys, "rmse", "--n-sensors", "7", "--n-sources", "2",
+                         "--snr-list=-5,5", "--snapshots-list", "1500", "--grid-step", "1.2",
+                         "--trials", str(trials), "--seed", "3", "--out-dir", str(tmp_path))
+        assert code == 0
+        with open(tmp_path / "rmse_trials.jsonl") as fh:
+            records = [json.loads(line) for line in fh]
+        with open(tmp_path / "rmse_results.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2
+        for row in rows:
+            vals = [r["rmse"] for r in records
+                    if r["snr_db"] == float(row["snr_db"]) and r["rmse"] is not None]
+            assert len(vals) == int(row["n_trials"]) == trials
+            assert row["median_rmse_deg"] == f"{float(np.median(vals)):.6f}"
+
     def test_rmse_parallel_matches_serial(self, capsys, tmp_path):
         args = ["rmse", "--n-sensors", "7", "--n-sources", "2", "--angles=-25,30",
                 "--snr-list", "8", "--snapshots-list", "1200", "--trials", "3",

@@ -90,32 +90,50 @@ def outer_product_covariance(values, sub):
 build_grid = steering_grid.__wrapped__
 
 
-def noise_subspace_spectrum(values, n_sources, grid):
+def full_steering(values, grid_deg):
+    """The whole sub x G virtual-ULA ``manifold`` of an ``assemble_foeca`` vector's scan."""
+    return manifold(SensorArray(tuple(range(values.size // 2 + 1))), grid_deg)
+
+
+def noise_subspace_spectrum(values, n_sources, grid_deg):
     """MUSIC spectrum 1 / |En^H a|^2 scanned over the (sub - D)-dim noise subspace.
 
-    ``grid`` is a ``(grid_deg, steering)`` pair.  ``ss_music`` scans the
-    D-dimensional signal subspace instead, which gives the same spectrum
-    up to rounding; this is its reference.
+    ``ss_music`` evaluates sub - |Es^H a|^2 over the D-dimensional signal
+    subspace as a polynomial instead, which gives the same spectrum up to
+    rounding; this is its reference, over the full steering matrix.
     """
-    _, steering = grid
+    steering = full_steering(values, grid_deg)
     sub = steering.shape[0]
     _, eigvecs = np.linalg.eigh(smoothed_covariance(values, sub))
     noise = eigvecs[:, : sub - n_sources]
     return 1.0 / np.sum(np.abs(noise.conj().T @ steering) ** 2, axis=0)
 
 
-def explicit_grid_spectrum(values, n_sources, grid):
-    """The signal-subspace spectrum of ``ss_music``, scanned over ``grid``.
+def explicit_grid_spectrum(values, n_sources, grid_deg):
+    """The signal-subspace spectrum of ``ss_music``, scanned as a D x sub x G product.
 
-    The reference for the grid that ``ss_music`` takes from its cache:
-    the same arithmetic, top-D eigensolver included, over an explicitly
-    built ``(grid_deg, steering)`` pair.
+    The reference for the polynomial scan: the same top-D eigensolver and
+    floor, with each steering vector of the full ``manifold`` projected on
+    the signal subspace explicitly.
     """
-    _, steering = grid
+    steering = full_steering(values, grid_deg)
     sub = steering.shape[0]
     _, signal = estimator._signal_subspace(smoothed_covariance(values, sub), n_sources)
     denom = sub - np.sum(np.abs(signal.conj().T @ steering) ** 2, axis=0)
     return 1.0 / np.maximum(denom, sub * np.finfo(float).eps)
+
+
+def assert_same_peaks(est, ref, n_sources, grid_step):
+    """``est`` has the 1e-6-rounded angles that ``_pick_peaks`` finds in the spectrum ``ref``."""
+    min_sep_cells = max(1, round(0.5 / grid_step))
+    ref_angles = np.sort(estimator._pick_peaks(est.grid_deg, ref, n_sources, min_sep_cells))
+    assert np.array_equal(np.round(est.angles_deg, 6), np.round(ref_angles, 6))
+
+
+def assert_matches_oracle(est, ref, n_sources, grid_step):
+    """The spectrum within rtol 1e-8 of ``ref``, and the same 1e-6-rounded peaks."""
+    assert np.allclose(est.spectrum, ref, rtol=1e-8, atol=0)
+    assert_same_peaks(est, ref, n_sources, grid_step)
 
 
 def fogna_measurement(n_sensors, truths, snr_db, n_snapshots, seed):
@@ -439,21 +457,24 @@ class TestSsMusic:
         assert est.spectrum.shape == est.grid_deg.shape and np.all(np.isnan(est.spectrum))
 
 
+# C09's close-gap scene: 40 sources at N = 9
+CLOSE_GAP_SCENE = (9, tuple(np.linspace(-60.0, 60.0, 40)), 0.0, 10_000, 0.02)
+# one scene of the 19-sensor design, L = 2186: the noise-subspace oracle's
+# full eigh and (sub - D) x sub x G product would take tens of seconds there
+NINETEEN_SENSOR_SCENE = (19, TWELVE_SOURCES, 5.0, 14_000, 0.05)
+
+
 class TestSignalSubspaceScan:
     @pytest.mark.parametrize("n_sensors, truths, snr_db, n_snapshots, grid_step",
-                             NOISY_SCENES)
+                             [*NOISY_SCENES, CLOSE_GAP_SCENE])
     def test_spectrum_matches_noise_subspace_oracle(self, n_sensors, truths, snr_db,
                                                     n_snapshots, grid_step):
         # the subtraction sub - |Es^H a|^2 loses about sub*eps absolutely,
         # and the smallest noisy denominator is far above that
         meas = fogna_measurement(n_sensors, truths, snr_db, n_snapshots, seed=1000)
         est = ss_music(meas, len(truths), grid_step_deg=grid_step)
-        grid = build_grid(meas.size // 2 + 1, grid_step)
-        ref = noise_subspace_spectrum(meas, len(truths), grid)
-        assert np.allclose(est.spectrum, ref, rtol=1e-8, atol=0)
-        min_sep_cells = max(1, round(0.5 / grid_step))
-        ref_angles = np.sort(estimator._pick_peaks(grid[0], ref, len(truths), min_sep_cells))
-        assert np.array_equal(np.round(est.angles_deg, 6), np.round(ref_angles, 6))
+        ref = noise_subspace_spectrum(meas, len(truths), est.grid_deg)
+        assert_matches_oracle(est, ref, len(truths), grid_step)
 
     @pytest.mark.parametrize("positions, angles, n_sources", [
         ((0, 1, 2, 5, 8), (10.0,), 1),
@@ -644,7 +665,8 @@ class TestSmoothedCovariance:
 
     def test_nineteen_sensor_design_in_bounded_memory(self):
         # L = 2186: the outer-product mean would need a 2187^3 complex
-        # temporary (167 GB); the Gram product keeps ss_music near 0.5 GB
+        # temporary (167 GB); the Gram product and the polynomial scan keep
+        # ss_music near 160 MB
         meas = fogna_measurement(19, TWELVE_SOURCES, 5.0, 14_000, seed=19)
         assert meas.size // 2 == 2186
         tracemalloc.start()
@@ -655,13 +677,18 @@ class TestSmoothedCovariance:
             tracemalloc.stop()
         assert est.rank_ok
         assert np.max(np.abs(est.angles_deg - np.asarray(TWELVE_SOURCES))) < 0.1
-        assert peak < 1e9, f"ss_music peaked at {peak / 1e6:.0f} MB"
+        assert peak < 250e6, f"ss_music peaked at {peak / 1e6:.0f} MB"
+
+
+def baby_steps(sub):
+    """ceil(sqrt(sub)): the steering rows z^0..z^b of a length-``sub`` scan number b + 1."""
+    return math.ceil(math.sqrt(sub))
 
 
 class TestSteeringGrid:
     def test_arrays_are_read_only(self):
         grid_deg, steering = steering_grid(10, 0.5)
-        assert steering.shape == (10, grid_deg.size)
+        assert steering.shape == (baby_steps(10) + 1, grid_deg.size) == (5, 359)
         for arr in (grid_deg, steering):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
@@ -675,11 +702,23 @@ class TestSteeringGrid:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        oracle = np.exp(1j * np.pi * np.arange(sub)[:, None]
+        oracle = np.exp(1j * np.pi * np.arange(baby_steps(sub) + 1)[:, None]
                         * np.sin(np.deg2rad(grid_deg))[None, :])
         assert steering.tobytes() == oracle.tobytes()
         # the phases are exponentiated in place: no second grid-sized array
-        assert peak <= 1.2 * steering.nbytes, f"{peak} B for {steering.nbytes} B"
+        size = steering.nbytes + grid_deg.nbytes
+        assert peak <= 1.2 * size, f"{peak} B for {size} B"
+
+    def test_nineteen_sensor_grid_is_small(self):
+        # 48 rows of 8999 points, where the whole 2187 x 8999 manifold takes 315 MB
+        tracemalloc.start()
+        try:
+            _, steering = build_grid(2187, 0.02)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert steering.shape == (48, 8999)
+        assert peak < 8e6, f"steering_grid(2187, 0.02) peaked at {peak / 1e6:.1f} MB"
 
     @pytest.mark.parametrize("step", [0.015, 0.075, 1.2, 0.02, 0.05])
     def test_grid_lies_inside_the_open_range(self, step):
@@ -693,8 +732,9 @@ class TestSteeringGrid:
     @pytest.mark.parametrize("sub, step", [(205, 0.02), (89, 0.05), (372, 0.02), (1, 1.0),
                                            (7, 60.0)])
     def test_steering_is_the_virtual_ula_manifold(self, sub, step):
+        # rows 0..b of the virtual ULA's manifold, bit for bit
         grid_deg, steering = steering_grid(sub, step)
-        ula = manifold(SensorArray(tuple(range(sub))), grid_deg)
+        ula = manifold(SensorArray(tuple(range(baby_steps(sub) + 1))), grid_deg)
         assert steering.tobytes() == ula.tobytes()
 
     @pytest.mark.parametrize("sub, step", [(0, 0.05), (5, 0.0), (5, -0.1), (5, math.nan),
@@ -730,19 +770,24 @@ class TestSteeringGridCache:
         other_meas = assemble_foeca(analytic_bank(arr, [-12.0, 10.0]), arr)
         other = ss_music(other_meas, 2, grid_step_deg=step)
         assert other.grid_deg is not default.grid_deg
-        oracle = build_grid(other_meas.size // 2 + 1, step)
-        assert np.array_equal(other.grid_deg, oracle[0])
-        assert np.array_equal(other.spectrum, explicit_grid_spectrum(other_meas, 2, oracle))
+        assert np.array_equal(other.grid_deg, build_grid(other_meas.size // 2 + 1, step)[0])
+        # exact cumulants cancel the denominator to rounding at the true
+        # angles, so there the two scans agree within a few sub*eps
+        # absolutely, not relatively
+        ref = explicit_grid_spectrum(other_meas, 2, other.grid_deg)
+        sub = other_meas.size // 2 + 1
+        assert np.allclose(1 / other.spectrum, 1 / ref, rtol=0, atol=4 * sub * np.finfo(float).eps)
+        assert_same_peaks(other, ref, 2, step)
         again = ss_music(meas, 2, grid_step_deg=0.05)
         assert np.array_equal(again.grid_deg, default.grid_deg)
         assert np.array_equal(again.spectrum, default.spectrum)
 
     @pytest.mark.parametrize("n_sensors, truths, snr_db, n_snapshots, grid_step",
-                             NOISY_SCENES)
+                             [*NOISY_SCENES, CLOSE_GAP_SCENE, NINETEEN_SENSOR_SCENE])
     def test_spectrum_matches_explicitly_built_grid(self, n_sensors, truths, snr_db,
                                                    n_snapshots, grid_step):
         meas = fogna_measurement(n_sensors, truths, snr_db, n_snapshots, seed=1000)
         est = ss_music(meas, len(truths), grid_step_deg=grid_step)
-        oracle = build_grid(meas.size // 2 + 1, grid_step)
-        assert np.array_equal(est.grid_deg, oracle[0])
-        assert np.array_equal(est.spectrum, explicit_grid_spectrum(meas, len(truths), oracle))
+        assert np.array_equal(est.grid_deg, build_grid(meas.size // 2 + 1, grid_step)[0])
+        assert_matches_oracle(est, explicit_grid_spectrum(meas, len(truths), est.grid_deg),
+                              len(truths), grid_step)
