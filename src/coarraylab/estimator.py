@@ -16,9 +16,10 @@ about sqrt(L) steering rows.
 Each estimate does only the linear algebra it uses.  The cumulants sum
 each distinct fourth moment once, in one single-precision GEMM per
 block of snapshots whose sums are kept in double, and MUSIC computes
-only the D largest eigenpairs of the smoothed covariance by subspace
-iteration, falling back to a full ``eigh`` where that would not
-converge within its cap or the covariance has rank below D.
+only the D largest eigenpairs of the smoothed covariance, by subspace
+iteration on the co-array window matrix that never forms the covariance,
+or by a full ``eigh`` where that would not converge within its cap or the
+covariance has rank below D.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ __all__ = [
     "sample_cumulants",
     "assemble_foeca",
     "subarray_length",
-    "smoothed_covariance",
     "steering_grid",
     "ss_music",
     "match_nearest",
@@ -100,6 +100,13 @@ def _moment_index(n: int) -> Tuple[np.ndarray, np.ndarray]:
     return case1, case2
 
 
+def _binary_exponent(x: np.ndarray) -> int:
+    """The e with 2^e just above x's largest |Re| or |Im|, at least -1021 so that 2^-e is finite."""
+    parts = (x.real, x.imag) if x.dtype.kind == "c" else (x,)
+    _, e = math.frexp(max(max(np.max(part), -np.min(part)) for part in parts))
+    return max(e, -1021)
+
+
 def sample_cumulants(snapshots) -> CumulantBank:
     """Estimate the case-1 and case-2 cumulant tensors from an N x K snapshot block.
 
@@ -145,9 +152,7 @@ def sample_cumulants(snapshots) -> CumulantBank:
         raise ValueError(f"need at least 2 snapshots, got {k}")
     dtype = np.result_type(x.dtype, np.float64)
     single = np.complex64 if dtype.kind == "c" else np.float32
-    parts = (x.real, x.imag) if x.dtype.kind == "c" else (x,)
-    _, e = math.frexp(max(max(np.max(part), -np.min(part)) for part in parts))
-    e = max(e, -1021)                       # 2^-e of a subnormal maximum overflows
+    e = _binary_exponent(x)
     scale = math.ldexp(1.0, -e)
     p = n * (n + 1) // 2
     width = min(k, _BLOCK)
@@ -293,16 +298,6 @@ def subarray_length(lc: int, n_sources: int) -> int:
     return lc + 1
 
 
-def smoothed_covariance(values: np.ndarray, sub: int) -> np.ndarray:
-    """Mean outer product of the length-``sub`` windows of ``values``.
-
-    The windows are the rows of a Hankel view, so the mean is one Gram
-    product: no (windows x sub x sub) temporary is formed.
-    """
-    windows = np.lib.stride_tricks.sliding_window_view(values, sub)
-    return windows.T @ windows.conj() / windows.shape[0]
-
-
 # Top-D subspace iteration: extra block columns beyond D, the residual
 # tolerance and the rank threshold (both relative to the largest
 # eigenvalue), and the seed of the random start block.
@@ -325,27 +320,26 @@ def _start_block(sub: int, block: int) -> np.ndarray:
     return q
 
 
-def _signal_subspace(r: np.ndarray, n_sources: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The ``n_sources`` largest eigenpairs of the Hermitian PSD matrix ``r``.
+def _signal_subspace(windows: np.ndarray, n_sources: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The ``n_sources`` largest eigenpairs of R = W^T conj(W), W the matrix ``windows``.
 
     Returns ``(eigvals, eigvecs)`` in ascending order, as ``np.linalg.eigh``
     orders them.  Block subspace iteration with Rayleigh-Ritz (Saad,
     *Numerical Methods for Large Eigenvalue Problems*, 2011, ch. 5): a
     block of D + 8 columns from a fixed-seed random start takes one
-    product Z = R Q per iteration.  The Ritz pairs come from the
-    projected matrix Q^H Z, and R X = Z V gives their residuals without
-    a second product.  The iteration stops once every one of the D
-    residuals is at most 1e-13 times the largest Ritz value.  It runs on
-    R 2^-e, with 2^e just above R's largest diagonal entry, so that the
-    residuals' squares neither underflow (a covariance below about
-    1e-160, which would pass the test unconverged) nor overflow (above
-    about 1e155, which would fall back); in the normal range a power of
-    two commutes with rounding, so the scaling changes no bit of the
-    result.
+    product Z = R Q = W^T conj(W conj(Q)) per iteration, two GEMMs that
+    never form R.  The Ritz pairs come from the projected matrix Q^H Z,
+    and R X = Z V gives their residuals without a second product.  The
+    iteration stops once every one of the D residuals is at most 1e-13
+    times the largest Ritz value.  It runs on one copy W 2^-e, with 2^e
+    just above W's largest real or imaginary part, so no stage overflows
+    or underflows while W is finite; in the normal range a power of two
+    commutes with rounding, so the eigenvectors do not depend on W's
+    scale.  The eigenvalues returned are those of R 2^-2e.
 
-    ``np.linalg.eigh`` of the whole matrix answers instead when the block
-    is at least half the matrix, when the D-th Ritz value is at most
-    1e-12 times the largest (the matrix has rank below D, where the
+    ``np.linalg.eigh`` of the scaled R, formed only then, answers instead
+    when the block is at least half the matrix, when the D-th Ritz value
+    is at most 1e-12 times the largest (R has rank below D, where the
     signal subspace is not unique), and when the iteration would not
     converge within its cap of sub/block iterations, which cost about as
     much as the full decomposition.  From the second iteration on, the
@@ -355,17 +349,15 @@ def _signal_subspace(r: np.ndarray, n_sources: int) -> Tuple[np.ndarray, np.ndar
     one (40 sources at N = 9, 12 at N = 7) so pays two iterations on top
     of the plain ``eigh``, not the whole cap.
     """
-    sub = r.shape[0]
+    sub = windows.shape[1]
     block = n_sources + _OVERSAMPLE
+    scaled = windows * math.ldexp(1.0, -_binary_exponent(windows))
     if 2 * block < sub:
-        _, e = math.frexp(np.max(r.diagonal().real))
-        e = max(e, -1021)                   # 2^-e of a subnormal maximum overflows
-        scaled = r * math.ldexp(1.0, -e)
         q = _start_block(sub, block)
         # sub/block iterations cost about one full eigh
         cap = sub // block
         for done in range(1, cap + 1):
-            z = scaled @ q
+            z = scaled.T @ np.conj(scaled @ q.conj())
             theta, v = np.linalg.eigh(q.conj().T @ z)
             top = theta[-1]
             if not theta[-n_sources] > max(_RANK_TOL * top, 0.0):
@@ -374,7 +366,7 @@ def _signal_subspace(r: np.ndarray, n_sources: int) -> Tuple[np.ndarray, np.ndar
             rx = z @ v[:, -n_sources:]
             worst = np.max(np.linalg.norm(rx - x * theta[-n_sources:], axis=0))
             if worst <= _RESIDUAL_TOL * top:
-                return np.ldexp(theta[-n_sources:], e), x
+                return theta[-n_sources:], x
             if done > 1:
                 shrink = worst / last
                 if not 0 < shrink < 1:
@@ -383,7 +375,7 @@ def _signal_subspace(r: np.ndarray, n_sources: int) -> Tuple[np.ndarray, np.ndar
                     break                   # the iterations still needed pass the cap
             last = worst
             q = np.linalg.qr(z)[0]
-    eigvals, eigvecs = np.linalg.eigh(r)
+    eigvals, eigvecs = np.linalg.eigh(scaled.T @ scaled.conj())
     return eigvals[sub - n_sources:], eigvecs[:, sub - n_sources:]
 
 
@@ -428,11 +420,12 @@ def ss_music(
     odd length raises ``ValueError``.  It is cut into its Lc+1 overlapping
     subvectors of length Lc+1 (``subarray_length``), which fixes the
     resolvable-source capacity at Lc; the mean of their outer products
-    is the smoothed covariance.  That mean is one Gram product of the
-    window (Hankel) matrix, so memory stays O(L^2 + sqrt(L)*G) for G grid
-    points.  A measurement that is not finite (the double-precision
-    moments overflow below about -1523 dB SNR) gets no eigensolve: its
-    estimate has no angles, a NaN spectrum and ``rank_ok`` false.
+    is the smoothed covariance, which the eigensolver applies through
+    their window (Hankel) matrix without forming it, so memory stays
+    O(L^2 + sqrt(L)*G) for G grid points.  A measurement that is not
+    finite (the double-precision moments overflow below about -1523 dB
+    SNR) gets no eigensolve: its estimate has no angles, a NaN spectrum
+    and ``rank_ok`` false.
 
     The MUSIC pseudo-spectrum is 1 / |En^H a|^2 over the noise subspace
     En.  With unit-modulus steering |a|^2 = sub, so the scan computes
@@ -446,12 +439,12 @@ def ss_music(
     cumulants cancel it.
 
     Es comes from ``_signal_subspace``: block subspace iteration for the
-    D largest eigenpairs, O(L^2*D) per iteration instead of the O(L^3) of
-    a full ``eigh`` (6 or 7 iterations on the C10 scenes; at the
-    19-sensor design, L = 2186, 0.09 s instead of 8.6 s).  Where it
-    would not converge within its cap, or the covariance has rank below
-    D, Es is the full ``eigh``'s.  ``rank_ok`` says whether the D-th
-    largest eigenvalue exceeds 1e-12 times the largest.
+    D largest eigenpairs, two O(L^2*D) window-matrix products per
+    iteration instead of the O(L^3) covariance and ``eigh`` (6 or 7
+    iterations on the C10 scenes; 0.3 s at the 19-sensor design, L = 2186).
+    Where it would not converge within its cap, or the covariance has
+    rank below D, Es is the full ``eigh``'s.  ``rank_ok`` says whether the
+    D-th largest eigenvalue exceeds 1e-12 times the largest.
 
     Returns the ``n_sources`` largest well-separated spectrum peaks,
     parabolic-refined off the grid; fewer when the spectrum has fewer
@@ -473,7 +466,8 @@ def ss_music(
     grid_deg, steering = steering_grid(sub, grid_step_deg)
     if not np.all(np.isfinite(values)):
         return DoaEstimate(np.empty(0), grid_deg, np.full(grid_deg.size, np.nan), rank_ok=False)
-    eigvals, signal = _signal_subspace(smoothed_covariance(values, sub), n_sources)
+    windows = np.lib.stride_tricks.sliding_window_view(values, sub)
+    eigvals, signal = _signal_subspace(windows, n_sources)
     denom = (sub - n_sources) - 2 * _signal_polynomial(signal, steering)
     spec = 1.0 / np.maximum(denom, sub * np.finfo(float).eps)
     min_sep_cells = max(1, round(min(min_peak_sep_deg / grid_step_deg, grid_deg.size)))

@@ -394,6 +394,23 @@ class TestRecordedMisses:
             records = [json.loads(line) for line in fh]
         assert all(len(rec["estimates"]) == 2 and rec["rmse"] is not None for rec in records)
 
+    def test_measurement_beyond_the_covariance_range_is_scored(self, capsys, tmp_path):
+        # at -800 dB the co-array values (about 1e160) are finite, but their
+        # smoothed covariance would overflow: every estimate is scored, and
+        # the -7 dB point of the same sweep is the one it has on its own
+        base = ["rmse", "--n-sensors", "9", "--n-sources", "12", "--seed", "500", "--trials",
+                "1", "--snapshots-list", "14000"]
+        code, _, err = run(capsys, *base, "--snr-list=-7,-800", "--out-dir", str(tmp_path / "mixed"))
+        assert code == 0
+        assert "misses: 0 of 2 estimates" in err
+        assert run(capsys, *base, "--snr-list=-7", "--out-dir", str(tmp_path / "alone"))[0] == 0
+        records = {}
+        for name in ("mixed", "alone"):
+            with open(tmp_path / name / "rmse_trials.jsonl") as fh:
+                records[name] = [json.loads(line) for line in fh]
+        assert [rec for rec in records["mixed"] if rec["snr_db"] == -7.0] == records["alone"]
+        assert all(rec["rmse"] is not None for rec in records["mixed"])
+
     @pytest.mark.parametrize("grid_step", ["60", "200"])
     def test_resolve_counts_a_miss_as_unresolved(self, capsys, tmp_path, grid_step):
         # a grid of two cells (60 deg) or none (200 deg) holds no peak

@@ -19,7 +19,6 @@ from coarraylab.estimator import (
     assemble_foeca,
     match_nearest,
     sample_cumulants,
-    smoothed_covariance,
     ss_music,
     steering_grid,
 )
@@ -86,6 +85,28 @@ def outer_product_covariance(values, sub):
     return (windows[:, :, None] * windows.conj()[:, None, :]).mean(axis=0)
 
 
+def gram_covariance(values, sub):
+    """The smoothed covariance as one Gram product of the window (Hankel) matrix."""
+    windows = np.lib.stride_tricks.sliding_window_view(values, sub)
+    return windows.T @ windows.conj() / windows.shape[0]
+
+
+def window_matrix(values):
+    """The Hankel view whose rows are the Lc+1 windows of length Lc+1 that ``ss_music`` smooths."""
+    return np.lib.stride_tricks.sliding_window_view(values, values.size // 2 + 1)
+
+
+def scaled_gram(windows):
+    """W^T conj(W) of W 2^-e, with 2^e just above W's largest |Re| or |Im| and e >= -1021.
+
+    ``_signal_subspace`` returns eigenpairs of this matrix, and its
+    ``eigh`` fallback decomposes it as formed here, bit for bit.
+    """
+    _, e = math.frexp(max(np.max(np.abs(windows.real)), np.max(np.abs(windows.imag))))
+    scaled = windows * math.ldexp(1.0, -max(e, -1021))
+    return scaled.T @ scaled.conj()
+
+
 # ``steering_grid`` without its cache: every call builds a new pair
 build_grid = steering_grid.__wrapped__
 
@@ -95,16 +116,17 @@ def full_steering(values, grid_deg):
     return manifold(SensorArray(tuple(range(values.size // 2 + 1))), grid_deg)
 
 
-def noise_subspace_spectrum(values, n_sources, grid_deg):
+def noise_subspace_spectrum(values, n_sources, grid_deg, covariance=gram_covariance):
     """MUSIC spectrum 1 / |En^H a|^2 scanned over the (sub - D)-dim noise subspace.
 
     ``ss_music`` evaluates sub - |Es^H a|^2 over the D-dimensional signal
     subspace as a polynomial instead, which gives the same spectrum up to
-    rounding; this is its reference, over the full steering matrix.
+    rounding; this is its reference, over the full steering matrix, with
+    En from ``np.linalg.eigh`` of ``covariance(values, sub)``.
     """
     steering = full_steering(values, grid_deg)
     sub = steering.shape[0]
-    _, eigvecs = np.linalg.eigh(smoothed_covariance(values, sub))
+    _, eigvecs = np.linalg.eigh(covariance(values, sub))
     noise = eigvecs[:, : sub - n_sources]
     return 1.0 / np.sum(np.abs(noise.conj().T @ steering) ** 2, axis=0)
 
@@ -112,13 +134,14 @@ def noise_subspace_spectrum(values, n_sources, grid_deg):
 def explicit_grid_spectrum(values, n_sources, grid_deg):
     """The signal-subspace spectrum of ``ss_music``, scanned as a D x sub x G product.
 
-    The reference for the polynomial scan: the same top-D eigensolver and
-    floor, with each steering vector of the full ``manifold`` projected on
-    the signal subspace explicitly.
+    The reference for the polynomial scan: the same floor, with the signal
+    subspace from ``np.linalg.eigh`` of the scaled Gram product that
+    ``_signal_subspace`` decomposes, and each steering vector of the full
+    ``manifold`` projected on it explicitly.
     """
     steering = full_steering(values, grid_deg)
     sub = steering.shape[0]
-    _, signal = estimator._signal_subspace(smoothed_covariance(values, sub), n_sources)
+    signal = np.linalg.eigh(scaled_gram(window_matrix(values)))[1][:, sub - n_sources:]
     denom = sub - np.sum(np.abs(signal.conj().T @ steering) ** 2, axis=0)
     return 1.0 / np.maximum(denom, sub * np.finfo(float).eps)
 
@@ -431,10 +454,12 @@ class TestSsMusic:
         assert len(est.angles_deg) == 1
         assert np.array_equal(est.angles_deg, ss_music(meas, 2, min_peak_sep_deg=180.0).angles_deg)
 
-    @pytest.mark.parametrize("power", [-70, 70])
+    @pytest.mark.parametrize("power", [-200, -70, 70, 200])
     def test_estimate_does_not_depend_on_a_power_of_two_scale(self, power):
         # snapshots x 2^-70 give a smoothed covariance near 1e-169, and
-        # x 2^70 one near 1e168: the estimate is the same bit for bit
+        # x 2^70 one near 1e168; x 2^-200 and x 2^200 give measurements near
+        # 1e-241 and 1e241, whose covariance would underflow or overflow:
+        # the estimate is the same bit for bit
         arr = build_fogna(optimize(7).best_params)
         snap = simulate(arr, SourceScene((-40.0, -5.0, 20.0, 55.0), seed=3), 5.0, 6_000)
         want = ss_music(assemble_foeca(sample_cumulants(snap), arr), 4)
@@ -508,16 +533,16 @@ def eigh_sizes(monkeypatch):
     return sizes
 
 
-def hermitian_with_spectrum(eigvals, seed):
-    """U diag(eigvals) U^H for a random unitary U."""
+def windows_with_spectrum(eigvals, seed):
+    """W = (U sqrt(eigvals))^T for a random unitary U, so that W^T conj(W) = U diag(eigvals) U^H."""
     rng = np.random.default_rng(seed)
     n = len(eigvals)
     u = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
-    return (u * np.asarray(eigvals)) @ u.conj().T
+    return (u * np.sqrt(eigvals)).T
 
 
 class TestTopEigenpairs:
-    """``_signal_subspace``: subspace iteration, and ``eigh`` where it falls back."""
+    """``_signal_subspace`` on a window matrix W: subspace iteration, and ``eigh`` where it falls back."""
 
     @pytest.mark.parametrize("snr_db", [-7.0, -1.0, 5.0, 8.0])
     @pytest.mark.parametrize("n_sensors, truths", [
@@ -527,12 +552,12 @@ class TestTopEigenpairs:
     ], ids=["N7", "N9", "N11"])
     def test_projector_matches_eigh(self, monkeypatch, n_sensors, truths, snr_db):
         meas = fogna_measurement(n_sensors, truths, snr_db, 14_000, seed=500)
-        r = smoothed_covariance(meas, meas.size // 2 + 1)
+        w = window_matrix(meas)
         d = len(truths)
-        want_vals, want_vecs = np.linalg.eigh(r)
+        want_vals, want_vecs = np.linalg.eigh(scaled_gram(w))
         sizes = eigh_sizes(monkeypatch)
-        vals, vecs = estimator._signal_subspace(r, d)
-        assert r.shape[0] not in sizes, "the scene fell back to the full eigh"
+        vals, vecs = estimator._signal_subspace(w, d)
+        assert w.shape[1] not in sizes, "the scene fell back to the full eigh"
         signal = want_vecs[:, -d:]
         err = np.linalg.norm(vecs @ vecs.conj().T - signal @ signal.conj().T)
         assert err <= 1e-12
@@ -544,24 +569,22 @@ class TestTopEigenpairs:
         if case == "rank-deficient":
             # exact cumulants of one source asked for two: rank 1 < D
             arr = SensorArray((0, 1, 2, 5, 8))
-            meas = assemble_foeca(analytic_bank(arr, [10.0]), arr)
-            r, d = smoothed_covariance(meas, meas.size // 2 + 1), 2
+            w, d = window_matrix(assemble_foeca(analytic_bank(arr, [10.0]), arr)), 2
         elif case == "predicted-past-cap":
             # eigenvalues decay by 3% a step: the D-th converges at
             # (0.97^9)^k, which two iterations show to be too slow for
             # the cap of 100 // 12 = 8 iterations
-            r, d = hermitian_with_spectrum(0.97 ** np.arange(100.0), seed=3), 4
+            w, d = windows_with_spectrum(0.97 ** np.arange(100.0), seed=3), 4
         else:
             # a block of D + 8 = 25 columns is half of the 50 x 50 matrix
-            r, d = hermitian_with_spectrum(0.5 ** np.arange(50.0), seed=4), 17
-        want_vals, want_vecs = np.linalg.eigh(r)
+            w, d = windows_with_spectrum(0.5 ** np.arange(50.0), seed=4), 17
+        want_vals, want_vecs = np.linalg.eigh(scaled_gram(w))
         sizes = eigh_sizes(monkeypatch)
-        vals, vecs = estimator._signal_subspace(r, d)
+        vals, vecs = estimator._signal_subspace(w, d)
         # one projected (D + 8)-square eigh per iteration, then the full one
-        assert sizes == [d + 8] * iterations + [r.shape[0]]
+        assert sizes == [d + 8] * iterations + [w.shape[1]]
         assert np.array_equal(vals, want_vals[-d:])
         assert np.array_equal(vecs, want_vecs[:, -d:])
-
 
     @pytest.mark.parametrize("n_sensors, n_sources, snr_db, n_snapshots, seed", [
         *[(7, 12, 5.0, 14_000, seed) for seed in range(4)],
@@ -572,37 +595,36 @@ class TestTopEigenpairs:
         # the D-th eigenvalue lies too close to the first one outside the
         # block to converge within the cap (4 iterations at both sizes)
         truths = tuple(np.linspace(-60.0, 60.0, n_sources))
-        meas = fogna_measurement(n_sensors, truths, snr_db, n_snapshots, seed)
-        r = smoothed_covariance(meas, meas.size // 2 + 1)
-        want_vals, want_vecs = np.linalg.eigh(r)
+        w = window_matrix(fogna_measurement(n_sensors, truths, snr_db, n_snapshots, seed))
+        want_vals, want_vecs = np.linalg.eigh(scaled_gram(w))
         sizes = eigh_sizes(monkeypatch)
-        vals, vecs = estimator._signal_subspace(r, n_sources)
-        assert sizes == [n_sources + 8] * 2 + [r.shape[0]]
+        vals, vecs = estimator._signal_subspace(w, n_sources)
+        assert sizes == [n_sources + 8] * 2 + [w.shape[1]]
         assert np.array_equal(vals, want_vals[-n_sources:])
         assert np.array_equal(vecs, want_vecs[:, -n_sources:])
 
     @pytest.mark.parametrize("power", [-900, -560, 560, 900])
     def test_power_of_two_scaling_is_exact(self, monkeypatch, power):
-        # the squared residuals of a covariance near 1e-169 (2^-560)
-        # underflow and those near 1e168 overflow unless it is scaled first
-        meas = fogna_measurement(9, TWELVE_SOURCES, 5.0, 14_000, (500, 0))
-        r = smoothed_covariance(meas, meas.size // 2 + 1)
+        # W 2^-900 (near 1e-270) has a Gram product far below double
+        # precision's range and W 2^900 one far above it; W is scaled first,
+        # so the eigenpairs and the iterations are those of W itself
+        w = window_matrix(fogna_measurement(9, TWELVE_SOURCES, 5.0, 14_000, (500, 0)))
         sizes = eigh_sizes(monkeypatch)
-        want_vals, want_vecs = estimator._signal_subspace(r, 12)
+        want_vals, want_vecs = estimator._signal_subspace(w, 12)
         iterations = list(sizes)
         sizes.clear()
-        vals, vecs = estimator._signal_subspace(r * 2.0 ** power, 12)
+        vals, vecs = estimator._signal_subspace(w * 2.0 ** power, 12)
         assert sizes == iterations == [20] * len(iterations)
-        assert np.array_equal(vals, want_vals * 2.0 ** power)
+        assert np.array_equal(vals, want_vals)
         assert np.array_equal(vecs, want_vecs)
 
     def test_subnormal_covariance_matches_eigh(self, monkeypatch):
-        meas = fogna_measurement(9, TWELVE_SOURCES, 5.0, 14_000, (500, 0))
-        r = smoothed_covariance(meas, meas.size // 2 + 1) * 1e-315
-        want_vals, want_vecs = np.linalg.eigh(r)
+        # W x 1e-315 is subnormal; its unscaled Gram product would be 0
+        w = window_matrix(fogna_measurement(9, TWELVE_SOURCES, 5.0, 14_000, (500, 0))) * 1e-315
+        want_vals, want_vecs = np.linalg.eigh(scaled_gram(w))
         sizes = eigh_sizes(monkeypatch)
-        vals, vecs = estimator._signal_subspace(r, 12)
-        assert r.shape[0] not in sizes, "the scene fell back to the full eigh"
+        vals, vecs = estimator._signal_subspace(w, 12)
+        assert w.shape[1] not in sizes, "the scene fell back to the full eigh"
         signal = want_vecs[:, -12:]
         assert np.linalg.norm(vecs @ vecs.conj().T - signal @ signal.conj().T) <= 1e-12
         assert np.allclose(vals, want_vals[-12:], rtol=1e-13, atol=0)
@@ -612,11 +634,10 @@ class TestTopEigenpairs:
         sizes, fallbacks = eigh_sizes(monkeypatch), []
         for trial in range(3):
             for snr_db in (-7.0, -1.0, 5.0, 8.0):
-                meas = fogna_measurement(9, TWELVE_SOURCES, snr_db, 14_000, (500, trial))
-                r = smoothed_covariance(meas, meas.size // 2 + 1)
+                w = window_matrix(fogna_measurement(9, TWELVE_SOURCES, snr_db, 14_000, (500, trial)))
                 sizes.clear()
-                estimator._signal_subspace(r, 12)
-                if r.shape[0] in sizes:
+                estimator._signal_subspace(w, 12)
+                if w.shape[1] in sizes:
                     fallbacks.append((trial, snr_db))
         assert fallbacks == []
 
@@ -646,27 +667,28 @@ class TestRmse:
 class TestSmoothedCovariance:
     @pytest.mark.parametrize("sub", [None, 79])
     def test_matches_outer_product_oracle(self, sub):
+        # the Gram product that the spectrum oracles decompose
         meas = fogna_measurement(7, (-30.0, 30.0), 10.0, 10_000, seed=21)
         sub = meas.size // 2 + 1 if sub is None else sub
-        r = smoothed_covariance(meas, sub)
+        r = gram_covariance(meas, sub)
         assert r.shape == (sub, sub)
         assert np.allclose(r, outer_product_covariance(meas, sub), rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("n_sensors, truths, snr_db, n_snapshots, grid_step",
                              NOISY_SCENES)
-    def test_angles_match_oracle_path(self, monkeypatch, n_sensors, truths, snr_db,
-                                      n_snapshots, grid_step):
+    def test_angles_match_oracle_path(self, n_sensors, truths, snr_db, n_snapshots, grid_step):
+        # the literal outer-product mean, its full eigh and the noise-subspace scan
         meas = fogna_measurement(n_sensors, truths, snr_db, n_snapshots, seed=1000)
         est = ss_music(meas, len(truths), grid_step_deg=grid_step)
-        monkeypatch.setattr(estimator, "smoothed_covariance", outer_product_covariance)
-        ref = ss_music(meas, len(truths), grid_step_deg=grid_step)
-        assert np.array_equal(np.round(est.angles_deg, 6), np.round(ref.angles_deg, 6))
-        assert est.rank_ok and ref.rank_ok
+        ref = noise_subspace_spectrum(meas, len(truths), est.grid_deg, outer_product_covariance)
+        assert_same_peaks(est, ref, len(truths), grid_step)
+        assert est.angles_deg.size == len(truths) and est.rank_ok
 
     def test_nineteen_sensor_design_in_bounded_memory(self):
         # L = 2186: the outer-product mean would need a 2187^3 complex
-        # temporary (167 GB); the Gram product and the polynomial scan keep
-        # ss_music near 160 MB
+        # temporary (167 GB), and the Gram covariance beside its scaled copy
+        # took 160 MB; the scaled window matrix (77 MB) and the polynomial
+        # scan keep ss_music near 80 MB
         meas = fogna_measurement(19, TWELVE_SOURCES, 5.0, 14_000, seed=19)
         assert meas.size // 2 == 2186
         tracemalloc.start()
@@ -677,7 +699,7 @@ class TestSmoothedCovariance:
             tracemalloc.stop()
         assert est.rank_ok
         assert np.max(np.abs(est.angles_deg - np.asarray(TWELVE_SOURCES))) < 0.1
-        assert peak < 250e6, f"ss_music peaked at {peak / 1e6:.0f} MB"
+        assert peak < 120e6, f"ss_music peaked at {peak / 1e6:.0f} MB"
 
 
 def baby_steps(sub):
