@@ -17,11 +17,9 @@ import csv
 import functools
 import json
 import math
-import multiprocessing
 import os
 import statistics
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -220,28 +218,32 @@ def _run_doa_trial(trial: int, *, array, truths, snr_list, k_list, seed, grid_st
     seed (seed, trial), so sweep points are compared on common random
     numbers.  An estimate with fewer peaks than sources is a miss: its
     record keeps the peaks found, with ``errors`` and ``rmse`` null.
+    Overflow and invalid-value warnings are silenced: a non-finite
+    measurement is already a miss, and each ``--jobs`` worker would print
+    its own copy, so stderr would depend on the worker count and timing.
     """
     scene = sim.SourceScene(truths, seed=(seed, trial))
     records = []
-    for snr_db, x in sim.simulate_sweep(array, scene, snr_list, k_list, coupling):
-        meas = est.assemble_foeca(est.sample_cumulants(x), array)
-        estimate = est.ss_music(meas, scene.n_sources, grid_step_deg=grid_step,
-                                min_peak_sep_deg=min_sep)
-        record = {
-            "snr_db": snr_db,
-            "n_snapshots": x.shape[1],
-            "trial": trial,
-            "seed": seed,
-            "truths": list(truths),
-            "estimates": [round(float(v), 6) for v in estimate.angles_deg],
-            "errors": None,
-            "rmse": None,
-        }
-        if len(estimate.angles_deg) == len(truths):
-            errors = est.match_nearest(estimate.angles_deg, truths)
-            record["errors"] = [round(float(v), 6) for v in errors]
-            record["rmse"] = round(float(np.sqrt(np.mean(errors ** 2))), 6)
-        records.append(record)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for snr_db, x in sim.simulate_sweep(array, scene, snr_list, k_list, coupling):
+            meas = est.assemble_foeca(est.sample_cumulants(x), array)
+            estimate = est.ss_music(meas, scene.n_sources, grid_step_deg=grid_step,
+                                    min_peak_sep_deg=min_sep)
+            record = {
+                "snr_db": snr_db,
+                "n_snapshots": x.shape[1],
+                "trial": trial,
+                "seed": seed,
+                "truths": list(truths),
+                "estimates": [round(float(v), 6) for v in estimate.angles_deg],
+                "errors": None,
+                "rmse": None,
+            }
+            if len(estimate.angles_deg) == len(truths):
+                errors = est.match_nearest(estimate.angles_deg, truths)
+                record["errors"] = [round(float(v), 6) for v in errors]
+                record["rmse"] = round(float(np.sqrt(np.mean(errors ** 2))), 6)
+            records.append(record)
     return records
 
 
@@ -302,6 +304,10 @@ def _sweep(args, truths: Sequence[float], snr_list: Sequence[float], k_list: Seq
     # a worker without a trial or a CPU of its own only adds start-up time
     workers = min(args.jobs, args.trials, _usable_cpus())
     if workers > 1:
+        # imported here, so a serial run does not pay for the pool machinery
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         # spawned, not forked: a forked worker inherits BLAS already started
         # with a thread per CPU, and the workers' threads oversubscribe the CPUs
         saved = {name: os.environ.get(name) for name in _WORKER_ENV}

@@ -16,8 +16,12 @@ positions
     case 3: -p1 - p2 - p3 + p4
 
 over all N^4 ordered quadruples, and the extended co-array is their
-multiset-sum (3*N^4 entries in total).  Case 3 is case 1 negated, so
-its counts are case 1's mirrored about lag 0.
+multiset-sum (3*N^4 entries in total).  Case 3 is case 1 negated and
+case 2 is symmetric about lag 0, so ``foeca`` counts g = 2*case1 + case2
+in one pass of the counter and folds it: foeca(l) = (g(l) + g(-l)) / 2.
+The counter works over the attained lag range and accumulates in int32
+while the largest possible entry, every tuple at one lag, is below 2^31
+(3*N^4 for ``foeca``, so up to 163 sensors), and in int64 past that.
 """
 
 from __future__ import annotations
@@ -70,11 +74,14 @@ class LagCounts(Mapping):
     __slots__ = ("lo", "counts")
 
     def __init__(self, lo: int, counts: np.ndarray):
-        present = np.flatnonzero(counts)
-        if len(present) == 0:
-            lo, counts = 0, counts[:0]
-        else:
-            lo, counts = int(lo) + int(present[0]), counts[present[0]:present[-1] + 1]
+        lo = int(lo)
+        # counts over an attained range already end in nonzero counts
+        if not (len(counts) and counts[0] and counts[-1]):
+            present = np.flatnonzero(counts)
+            if len(present) == 0:
+                lo, counts = 0, counts[:0]
+            else:
+                lo, counts = lo + int(present[0]), counts[present[0]:present[-1] + 1]
         counts.flags.writeable = False
         self.lo, self.counts = lo, counts
 
@@ -151,36 +158,55 @@ def _signed_sums(p: np.ndarray, signs: Sequence[int]) -> np.ndarray:
     return sums.ravel()
 
 
-def _count_lags(source, signs: Sequence[int]) -> Tuple[int, np.ndarray]:
-    """Multiset of the signed sums ``sum_i signs[i] * p[l_i]`` of ``source``'s positions.
+def _count_lags(source, rows: Mapping[Tuple[int, ...], int]) -> Tuple[int, np.ndarray]:
+    """Weighted multiset of the signed sums ``sum_i signs[i] * p[l_i]`` of ``source``'s positions.
 
-    Returns (lo, counts) with ``counts[i]`` the multiplicity of lag
-    ``lo + i`` over [-span, span], span = len(signs) * max|p|, untrimmed.
-    One ``np.bincount`` counts the sums of all but the last index
-    (N^(k-1) of them), and that histogram is added once per sensor,
-    shifted by its signed position.  No N^k lag array is ever formed, so
-    the work stays in cache and allocations stay small.
+    ``rows`` maps sign rows that share their last sign to integer weights
+    >= 1.  Returns (lo, counts): ``counts[i]`` is the weighted
+    multiplicity of lag ``lo + i``, in an int64 array over the attained
+    range [min_rows sum_i min(s_i * p), max_rows sum_i max(s_i * p)], so
+    both end counts are nonzero.  One ``np.bincount`` per row counts the
+    sums of all but the last index (N^(k-1) of them) over the row's own
+    range; the weighted histograms are summed into one head over the
+    rows' common range, which is added once per sensor, shifted by its
+    signed position.  No N^k lag array is ever formed, so the work stays
+    in cache and allocations stay small.  The head and the counts
+    accumulate in int32 when the largest possible entry,
+    sum(weight * N^k) (every tuple at one lag), is below 2^31, and in
+    int64 otherwise.
     """
     p = _positions(source)
-    span = len(signs) * int(np.abs(p).max(initial=0))
-    counts = np.zeros(2 * span + 1, dtype=np.int64)
-    *head, last = signs
-    sums = _signed_sums(p, head)
-    low = int(sums.min(initial=0))
-    head_counts = np.bincount(sums - low)
-    for start in (span + low + last * p).tolist():
-        counts[start:start + len(head_counts)] += head_counts
-    return -span, counts
+    (last,) = {signs[-1] for signs in rows}
+    if len(p) == 0:
+        return 0, np.zeros(0, dtype=np.int64)
+    heads = [_signed_sums(p, signs[:-1]) for signs in rows]
+    lows = [int(sums.min()) for sums in heads]
+    low = min(lows)
+    size = max(int(sums.max()) for sums in heads) - low + 1
+    largest = sum(weight * len(p) ** len(signs) for signs, weight in rows.items())
+    dtype = np.int32 if largest < 2 ** 31 else np.int64
+    head = np.zeros(size, dtype=dtype)
+    for sums, row_low, weight in zip(heads, lows, rows.values()):
+        sums -= row_low
+        counted = np.bincount(sums)
+        counted *= weight
+        head[row_low - low:row_low - low + len(counted)] += counted
+    shifts = (last * p).tolist()
+    first = min(shifts)
+    counts = np.zeros(size + max(shifts) - first, dtype=dtype)
+    for shift in shifts:
+        counts[shift - first:shift - first + size] += head
+    return low + first, counts.astype(np.int64)
 
 
 def sum_coarray(source) -> LagCounts:
     """Second-order sum co-array: multiset of p_i + p_j over ordered pairs."""
-    return LagCounts(*_count_lags(source, (1, 1)))
+    return LagCounts(*_count_lags(source, {(1, 1): 1}))
 
 
 def diff_coarray(source) -> LagCounts:
     """Second-order difference co-array: multiset of p_i - p_j over ordered pairs."""
-    return LagCounts(*_count_lags(source, (1, -1)))
+    return LagCounts(*_count_lags(source, {(1, -1): 1}))
 
 
 def case_virtual_positions(source, case: int) -> np.ndarray:
@@ -197,22 +223,27 @@ def case_virtual_positions(source, case: int) -> np.ndarray:
 
 def foca(source, case: int) -> LagCounts:
     """Fourth-order co-array for one conjugation case (multiset over N^4 quadruples)."""
-    return LagCounts(*_count_lags(source, _case_signs(case)))
+    return LagCounts(*_count_lags(source, {_case_signs(case): 1}))
 
 
 def foeca(source) -> LagCounts:
     """Fourth-order extended co-array: multiset-sum of the three cases.
 
     Multiplicity of each lag is the sum across cases; the total entry
-    count is 3*N^4 for an N-sensor array.  Cases 1 and 2 are counted on
-    the symmetric range [-span, span]; case 3 negates case 1, so its
-    counts are case 1's reversed.
+    count is 3*N^4 for an N-sensor array.  Case 3 is case 1 negated and
+    case 2 is symmetric about lag 0, so with g = 2*case1 + case2 the
+    multiplicity of lag l is (g(l) + g(-l)) / 2, exact in integers.  Both
+    cases end in -p4, so ``_count_lags`` counts g in one pass, in int32
+    while 3*N^4 < 2^31 (up to 163 sensors).  The fold adds g(l) + g(-l),
+    which can reach 6*N^4, in int64.
     """
-    _, case1 = _count_lags(source, CASE_SIGNS[1])
-    lo, counts = _count_lags(source, CASE_SIGNS[2])
-    counts += case1
-    counts += case1[::-1]
-    return LagCounts(lo, counts)
+    lo, g = _count_lags(source, {CASE_SIGNS[1]: 2, CASE_SIGNS[2]: 1})
+    span = max(-lo, lo + len(g) - 1, 0)
+    counts = np.zeros(2 * span + 1, dtype=np.int64)
+    counts[span + lo:span + lo + len(g)] = g
+    counts[span - lo - len(g) + 1:span - lo + 1] += g[::-1]
+    counts //= 2
+    return LagCounts(-span, counts)
 
 
 def analyze_segment(lags: LagCounts) -> SegmentReport:

@@ -1,5 +1,6 @@
 """Co-array multiset algebra, checked against a brute-force oracle."""
 
+import hashlib
 import json
 import tracemalloc
 from collections import Counter
@@ -197,6 +198,30 @@ class TestFoeca:
         for positions in [(0, 1), (0, 1, 4), (0, 1, 5, 8)]:
             assert foeca(positions).total() == 3 * len(positions) ** 4
 
+    def test_fold_in_int64_past_int32_range(self):
+        # 140 sensors: 3*N^4 still fits int32, but the fold's g(l) + g(-l)
+        # can reach 6*N^4 >= 2^31, so the fold must not run in int32
+        n = 140
+        assert 3 * n ** 4 < 2 ** 31 <= 6 * n ** 4
+        positions = tuple(range(n))
+        m = foeca(positions)
+        expected = Counter()
+        for case in (1, 2, 3):
+            expected.update(dict(foca(positions, case)))
+        assert dict(m) == dict(expected)
+        assert m.total() == 3 * n ** 4
+        assert m.counts.dtype == np.int64
+
+    def test_counts_pinned_for_the_designs(self):
+        # sha256 of the int64 counts of every optimized design, N = 4..40,
+        # as computed by the two-pass counter that the one-pass fold replaced
+        digest = hashlib.sha256()
+        for n in range(4, 41):
+            counts = foeca(build_fogna(optimize(n).best_params)).counts
+            digest.update(counts.astype("<i8").tobytes())
+        assert digest.hexdigest() == (
+            "14032794a775ffc74453bade493565cafe18195951889ab1cdbad2772a864947")
+
     def test_union_of_cases(self):
         positions = (0, 1, 5, 8)
         union = set()
@@ -261,6 +286,18 @@ class TestLagCounts:
         finally:
             tracemalloc.stop()
         assert peak < 11.5e6, f"foeca peaked at {peak / 1e6:.1f} MB"
+
+
+class TestCounter:
+    @pytest.mark.parametrize("build", [sum_coarray, diff_coarray], ids=["sca", "dca"])
+    def test_int64_accumulator_past_int32_range(self, build):
+        # N^2 co-located sensors put every pair at lag 0: 46341^2 >= 2^31,
+        # so the counts accumulate in int64 and do not wrap
+        n = 46341
+        assert n ** 2 >= 2 ** 31
+        m = build((0,) * n)
+        assert m.items() == [(0, n ** 2)]
+        assert m.counts.dtype == np.int64
 
 
 class TestAnalyzeSegment:
@@ -334,6 +371,25 @@ raw_arrays = st.lists(st.integers(-25, 25), min_size=1, max_size=5, unique=True)
 @given(positions=raw_arrays)
 def test_case3_is_case1_with_every_lag_negated(positions):
     assert dict(foca(positions, 3)) == {-l: c for l, c in foca(positions, 1).items()}
+
+
+@settings(max_examples=120, deadline=None)
+@given(name=st.sampled_from(sorted(BUILDERS)),
+       positions=st.lists(st.integers(-12, 12), max_size=5))
+def test_builders_match_oracle(name, positions):
+    # unsorted, negative and repeated positions, and the empty array
+    build, sign_rows = BUILDERS[name]
+    expected = Counter()
+    for signs in sign_rows:
+        expected.update(oracle_multiset(positions, signs))
+    m = build(positions)
+    assert dict(m) == dict(expected)
+    assert m.total() == sum(expected.values())
+    assert m.counts.dtype == np.int64 and not m.counts.flags.writeable
+    if positions:
+        assert m.lo == min(expected) and m.counts[0] and m.counts[-1]
+    else:
+        assert len(m.counts) == 0
 
 
 def assert_matches_oracle_segment(report, lags):
