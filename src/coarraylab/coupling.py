@@ -5,13 +5,14 @@ The model is the B-banded symmetric Toeplitz one of Liu and Vaidyanathan
 c_1 = ``C1`` = 0.3*exp(1j*pi/3), and c_l = C1 * exp(-1j*(l-1)*pi/8) / l
 for 2 <= l <= ``BAND`` = 100; separations beyond the band do not couple.
 The magnitudes |c_l| = |C1|/l decay strictly.  ``REFERENCE_LEAKAGE``
-reproduces only at these values, so they are constants, not parameters.
+reproduces only at these values, so they are constants, not parameters:
+c_0..c_BAND are built once, at import, into one read-only complex128
+table, and every coupling matrix is a band-limited lookup in it.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 
 import numpy as np
@@ -40,36 +41,17 @@ REFERENCE_LEAKAGE = {
 }
 
 
-@functools.lru_cache(maxsize=None, typed=True)
-def _coefficients(c1: complex, last: int) -> np.ndarray:
-    """c_0..c_last at first-neighbour coefficient ``c1``, read-only, evaluated once per process.
-
-    The array is float64 when no complex coefficient is in it (last 0, or
-    last 1 with a real ``c1``); ``typed`` keeps a real and a complex
-    ``c1`` of equal value apart.
-    """
-    head = np.array([1.0, c1][:last + 1] + [c1 * cmath.exp(-1j * (l - 1) * math.pi / 8) / l
-                                          for l in range(2, last + 1)])
-    head.flags.writeable = False
-    return head
+_COEFFICIENTS = np.array([1.0, C1] + [C1 * cmath.exp(-1j * (l - 1) * math.pi / 8) / l
+                                      for l in range(2, BAND + 1)])
+_COEFFICIENTS.flags.writeable = False
 
 
 def coupling_matrix(source) -> np.ndarray:
-    """N x N coupling matrix: entry (i, j) is c_{|p_i - p_j|}.
-
-    The entries come from c_0..c_min(max separation, BAND), evaluated
-    once per process for each head length at the ``C1`` and ``BAND`` read
-    at call time; separations past the band are zero-filled in the head's
-    dtype (float64 when no complex coefficient is in the head).
-    """
+    """N x N complex128 coupling matrix: entry (i, j) is c_{|p_i - p_j|}, 0 past the band."""
     positions = source.positions if isinstance(source, SensorArray) else tuple(source)
     p = np.asarray(positions, dtype=np.int64)
     sep = np.abs(p[:, None] - p[None, :])
-    upto = int(sep.max())
-    last = min(upto, BAND)
-    head = _coefficients(C1, last)
-    coeffs = np.concatenate([head, np.zeros(upto - last, dtype=head.dtype)])
-    return coeffs[sep]
+    return np.where(sep <= BAND, _COEFFICIENTS[np.minimum(sep, BAND)], 0)
 
 
 def coupling_leakage(c: np.ndarray) -> float:

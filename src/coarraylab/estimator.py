@@ -133,37 +133,37 @@ def sample_cumulants(snapshots) -> CumulantBank:
     from that matrix (``_moment_index``), and the moments are divided by
     K once at the end, so memory stays O(N^4 + N^2*B) for any K.
 
-    The products and the GEMM run in single precision (complex64 for
-    complex snapshots, float32 for real ones), and the blocks are summed
-    in double precision.  Their rounding, a few 1e-6 of the largest
-    entry, lies far below the sampling error of about K^(-1/2) (1e-2 at
-    K = 14000).  To keep the range of double precision, the snapshots
-    are scaled by 2^-e before the single-precision cast, with 2^e just
-    above their largest real or imaginary part, and the sums by 2^(4e)
-    after it; in the normal range a power of two commutes with rounding,
-    so the scaling changes no bit of the result.  The second moments
-    and the pairing terms stay in double precision.
+    The snapshots are read as complex128, which copies nothing for the
+    complex128 blocks the simulator draws; real snapshots give complex
+    tensors too.  The products and the GEMM run in complex64, and the
+    blocks are summed in double precision.  Their rounding, a few 1e-6
+    of the largest entry, lies far below the sampling error of about
+    K^(-1/2) (1e-2 at K = 14000).  To keep the range of double
+    precision, the snapshots are scaled by 2^-e before the
+    single-precision cast, with 2^e just above their largest real or
+    imaginary part, and the sums by 2^(4e) after it; in the normal range
+    a power of two commutes with rounding, so the scaling changes no bit
+    of the result.  The second moments and the pairing terms stay in
+    double precision.
     """
-    x = np.asarray(snapshots)
+    x = np.asarray(snapshots, dtype=complex)
     if x.ndim != 2:
         raise ValueError("snapshots must form an N x K matrix")
     n, k = x.shape
     if k < 2:
         raise ValueError(f"need at least 2 snapshots, got {k}")
-    dtype = np.result_type(x.dtype, np.float64)
-    single = np.complex64 if dtype.kind == "c" else np.float32
     e = _binary_exponent(x)
     scale = math.ldexp(1.0, -e)
     p = n * (n + 1) // 2
     width = min(k, _BLOCK)
-    xs = np.empty((n, width), single)       # the scaled block, x_a 2^-e
-    xc = np.empty((n, width), single)       # its conjugate
-    u = np.empty((p, width), single)        # x_a x_b, a <= b
-    w = np.empty((n * n + p, width), single)  # x_c conj(x_d), then conj(u)
+    xs = np.empty((n, width), np.complex64)   # the scaled block, x_a 2^-e
+    xc = np.empty((n, width), np.complex64)   # its conjugate
+    u = np.empty((p, width), np.complex64)    # x_a x_b, a <= b
+    w = np.empty((n * n + p, width), np.complex64)  # x_c conj(x_d), then conj(u)
     v = w[:n * n].reshape(n, n, width)
-    ra = np.zeros((n, n), dtype)            # sum of x_a x_b
-    rb = np.zeros((n, n), dtype)            # sum of x_a conj(x_b)
-    m = np.zeros((p, n * n + p), dtype)     # distinct fourth moments
+    ra = np.zeros((n, n), complex)            # sum of x_a x_b
+    rb = np.zeros((n, n), complex)            # sum of x_a conj(x_b)
+    m = np.zeros((p, n * n + p), complex)     # distinct fourth moments
     for start in range(0, k, _BLOCK):
         xb = x[:, start:start + _BLOCK]
         ra += xb @ xb.T

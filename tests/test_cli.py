@@ -163,9 +163,12 @@ class TestTables:
      "b6b5e0c2bcff9b1d92203339d277744955f252c2d68927b476ac2565cc029ef5"),
     (["coupling-table", "9", "10", "11", "19", "21", "23"], "coupling_table.csv",
      "83978ab3585bc09399c608fb1f779c0c302983e192dbd851321ae7488813570a"),
+    # the 40-sensor design's aperture, 28360, lies far past the band
+    (["coupling-table", "40"], "coupling_table.csv",
+     "3042f58cd382acefc0d61f104daca9d18ec0b912f54edaa22719479d5043a103"),
     (["dof-table", "9", "11", "19"], "dof_table.csv",
      "b9b04080ccdcfc6a904f12d7f1730cb16724247ae775e3fd8248e2bbe03bc5c9"),
-], ids=["coarray-stdout", "coupling-table", "dof-table"])
+], ids=["coarray-stdout", "coupling-table", "coupling-table-40", "dof-table"])
 def test_output_digest_is_pinned(capsys, tmp_path, argv, output, digest):
     if output is not None:
         argv = [*argv, "--out-dir", str(tmp_path)]

@@ -8,28 +8,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coarraylab import coupling as cp
 from coarraylab.coupling import BAND, C1, coupling_leakage, coupling_matrix
 from coarraylab.geometry import build_fogna
 from coarraylab.optimizer import optimize
 
 
 def coefficient(separation):
-    """Oracle: c_l of the model, one separation at a time, at the module's C1 and BAND."""
+    """Oracle: c_l of the model, one separation at a time."""
     if separation == 0:
         return 1.0
-    if separation > cp.BAND:
+    if separation > BAND:
         return 0.0
     if separation == 1:
-        return cp.C1
-    return cp.C1 * cmath.exp(-1j * (separation - 1) * math.pi / 8) / separation
+        return C1
+    return C1 * cmath.exp(-1j * (separation - 1) * math.pi / 8) / separation
 
 
 def loop_matrix(positions):
     """Oracle: one ``coefficient`` call per separation up to the aperture, band or not."""
     p = np.asarray(positions, dtype=np.int64)
     sep = np.abs(p[:, None] - p[None, :])
-    return np.array([coefficient(l) for l in range(int(sep.max()) + 1)])[sep]
+    return np.array([coefficient(l) for l in range(int(sep.max()) + 1)], dtype=complex)[sep]
 
 
 def assert_same_bytes(got, want):
@@ -77,44 +76,32 @@ class TestMatrix:
 
 
 class TestMatrixMatchesLoop:
-    """The evaluated head and its zero fill against the per-separation loop, bitwise."""
+    """The table lookup and its zero fill against the per-separation loop, bitwise."""
 
     def test_positions_across_the_band_edge(self):
         assert_same_bytes(coupling_matrix((0, 1, 2, 99, 100, 101, 150, 3000)),
                           loop_matrix((0, 1, 2, 99, 100, 101, 150, 3000)))
+
+    @pytest.mark.parametrize("upto", [0, 1, 40, 99, 100, 101, 3000])
+    def test_bitwise(self, upto):
+        # every separation 0..min(upto, 2*BAND + 1), and upto itself
+        positions = sorted({*range(min(upto, 2 * BAND + 1) + 1), upto})
+        got = coupling_matrix(positions)
+        assert_same_bytes(got, loop_matrix(positions))
+        assert got[0, -1] == coefficient(upto)
+
+    def test_matrix_at_wide_aperture(self):
+        assert_same_bytes(coupling_matrix((0, 150, 3000)), loop_matrix((0, 150, 3000)))
 
     @pytest.mark.parametrize("n", range(4, 41))
     def test_designs(self, n):
         arr = build_fogna(optimize(n).best_params)
         assert_same_bytes(coupling_matrix(arr), loop_matrix(arr.positions))
 
-
-class TestCoefficientsMatchLoop:
-    """The same comparison with the constants patched to other bands and a real c1.
-
-    Small bands reach the empty head, the real-valued head (float64, so
-    the zero fill is float64 too) and the zero fill with small matrices.
-    ``coupling_matrix`` reads ``C1`` and ``BAND`` at call time.
-    """
-
-    @pytest.mark.parametrize("c1", [C1, 0.3], ids=["complex_c1", "real_c1"])
-    @pytest.mark.parametrize("band, upto", [
-        (100, 0), (100, 1), (100, 40), (100, 99), (100, 100), (100, 101), (100, 3000),
-        (0, 0), (0, 1), (0, 7), (1, 0), (1, 1), (1, 9), (5, 3), (5, 5), (5, 6),
-    ])
-    def test_bitwise(self, monkeypatch, c1, band, upto):
-        monkeypatch.setattr(cp, "C1", c1)
-        monkeypatch.setattr(cp, "BAND", band)
-        # every separation 0..min(upto, 2*band + 1), and upto itself
-        positions = sorted({*range(min(upto, 2 * band + 1) + 1), upto})
-        got = coupling_matrix(positions)
-        assert_same_bytes(got, loop_matrix(positions))
-        assert got[0, -1] == coefficient(upto)
-
-    @pytest.mark.parametrize("band", [0, 1, 100])
-    def test_matrix_at_wide_aperture(self, monkeypatch, band):
-        monkeypatch.setattr(cp, "BAND", band)
-        assert_same_bytes(coupling_matrix((0, 150, 3000)), loop_matrix((0, 150, 3000)))
+    @pytest.mark.parametrize("source", [(0,), (0, BAND + 1), build_fogna((5, 2, 2))],
+                             ids=["one-sensor", "pair-past-the-band", "design"])
+    def test_result_is_complex(self, source):
+        assert coupling_matrix(source).dtype == np.complex128
 
 
 class TestLeakage:

@@ -96,15 +96,47 @@ def window_matrix(values):
     return np.lib.stride_tricks.sliding_window_view(values, values.size // 2 + 1)
 
 
+def scaled_windows(windows):
+    """W 2^-e, with 2^e just above W's largest |Re| or |Im| and e >= -1021."""
+    _, e = math.frexp(max(np.max(np.abs(windows.real)), np.max(np.abs(windows.imag))))
+    return windows * math.ldexp(1.0, -max(e, -1021))
+
+
 def scaled_gram(windows):
-    """W^T conj(W) of W 2^-e, with 2^e just above W's largest |Re| or |Im| and e >= -1021.
+    """W^T conj(W) of ``scaled_windows(W)``.
 
     ``_signal_subspace`` returns eigenpairs of this matrix, and its
     ``eigh`` fallback decomposes it as formed here, bit for bit.
     """
-    _, e = math.frexp(max(np.max(np.abs(windows.real)), np.max(np.abs(windows.imag))))
-    scaled = windows * math.ldexp(1.0, -max(e, -1021))
+    scaled = scaled_windows(windows)
     return scaled.T @ scaled.conj()
+
+
+def iterated_signal_subspace(windows, n_sources):
+    """The ``n_sources`` dominant eigenvectors of ``scaled_gram(windows)``, without forming it.
+
+    Plain orthogonal iteration (Golub & Van Loan, *Matrix Computations*,
+    4th ed., 2013, sec. 8.2.4), apart from ``_signal_subspace``'s: a
+    block of 2D columns from its own seeded complex Gaussian start takes
+    30 fixed steps Q <- qr(W^T conj(W conj(Q))) with no stopping test,
+    and Rayleigh-Ritz on the last block keeps the D largest Ritz vectors.
+    """
+    scaled = scaled_windows(windows)
+    rng = np.random.default_rng(19)
+    shape = (scaled.shape[1], 2 * n_sources)
+    q = np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))[0]
+    for _ in range(30):
+        q = np.linalg.qr(scaled.T @ np.conj(scaled @ q.conj()))[0]
+    _, v = np.linalg.eigh(q.conj().T @ (scaled.T @ np.conj(scaled @ q.conj())))
+    return q @ v[:, -n_sources:]
+
+
+def projector_distance(a, b):
+    """||a a^H - b b^H||_2 of orthonormal bases of equal dimension, without the sub x sub projectors.
+
+    It is ||b - a a^H b||_2, the sine of their largest principal angle.
+    """
+    return np.linalg.norm(b - a @ (a.conj().T @ b), 2)
 
 
 # ``steering_grid`` without its cache: every call builds a new pair
@@ -131,17 +163,18 @@ def noise_subspace_spectrum(values, n_sources, grid_deg, covariance=gram_covaria
     return 1.0 / np.sum(np.abs(noise.conj().T @ steering) ** 2, axis=0)
 
 
-def explicit_grid_spectrum(values, n_sources, grid_deg):
+def explicit_grid_spectrum(values, n_sources, grid_deg, signal=None):
     """The signal-subspace spectrum of ``ss_music``, scanned as a D x sub x G product.
 
     The reference for the polynomial scan: the same floor, with the signal
-    subspace from ``np.linalg.eigh`` of the scaled Gram product that
-    ``_signal_subspace`` decomposes, and each steering vector of the full
-    ``manifold`` projected on it explicitly.
+    subspace ``signal`` or, by default, from ``np.linalg.eigh`` of the
+    scaled Gram product that ``_signal_subspace`` decomposes, and each
+    steering vector of the full ``manifold`` projected on it explicitly.
     """
     steering = full_steering(values, grid_deg)
     sub = steering.shape[0]
-    signal = np.linalg.eigh(scaled_gram(window_matrix(values)))[1][:, sub - n_sources:]
+    if signal is None:
+        signal = np.linalg.eigh(scaled_gram(window_matrix(values)))[1][:, sub - n_sources:]
     denom = sub - np.sum(np.abs(signal.conj().T @ steering) ** 2, axis=0)
     return 1.0 / np.maximum(denom, sub * np.finfo(float).eps)
 
@@ -240,17 +273,17 @@ class TestSampleCumulants:
             assert np.allclose(bank.case(case), naive_cumulants(x, case), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n, kind", [(1, "complex"), (2, "complex"), (3, "real")],
-                             ids=["N1", "N2", "real-float32-path"])
+                             ids=["N1", "N2", "real-input"])
     def test_small_and_real_inputs_match_naive_oracle(self, n, kind):
-        # the distinct-moment index maps at their smallest sizes, and the
-        # float32 GEMM of real snapshots, on exact integer data
+        # the distinct-moment index maps at their smallest sizes, and real
+        # snapshots through the complex64 GEMM, on exact integer data
         rng = np.random.default_rng(n)
         k = estimator._BLOCK + 37
         x = gaussian_integers(rng, (n, k))
         if kind == "real":
             x = x.real.copy()
         bank = sample_cumulants(x)
-        assert bank.case1.dtype == (np.float64 if kind == "real" else np.complex128)
+        assert bank.case1.dtype == bank.case2.dtype == np.complex128
         for case in (1, 2, 3):
             assert np.allclose(bank.case(case), naive_cumulants(x, case), rtol=0, atol=1e-12)
 
@@ -811,5 +844,11 @@ class TestSteeringGridCache:
         meas = fogna_measurement(n_sensors, truths, snr_db, n_snapshots, seed=1000)
         est = ss_music(meas, len(truths), grid_step_deg=grid_step)
         assert np.array_equal(est.grid_deg, build_grid(meas.size // 2 + 1, grid_step)[0])
-        assert_matches_oracle(est, explicit_grid_spectrum(meas, len(truths), est.grid_deg),
+        signal = None
+        if n_sensors == 19:
+            # a full eigh of the 2187-square Gram matrix would take most of Tier-1's time
+            windows = window_matrix(meas)
+            signal = iterated_signal_subspace(windows, len(truths))
+            assert projector_distance(signal, estimator._signal_subspace(windows, len(truths))[1]) <= 1e-12
+        assert_matches_oracle(est, explicit_grid_spectrum(meas, len(truths), est.grid_deg, signal),
                               len(truths), grid_step)
