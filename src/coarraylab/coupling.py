@@ -51,7 +51,8 @@ def coupling_matrix(source) -> np.ndarray:
     positions = source.positions if isinstance(source, SensorArray) else tuple(source)
     p = np.asarray(positions, dtype=np.int64)
     sep = np.abs(p[:, None] - p[None, :])
-    return np.where(sep <= BAND, _COEFFICIENTS[np.minimum(sep, BAND)], 0)
+    band = len(_COEFFICIENTS) - 1
+    return np.where(sep <= band, _COEFFICIENTS[np.minimum(sep, band)], 0)
 
 
 def coupling_leakage(c: np.ndarray) -> float:

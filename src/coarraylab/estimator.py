@@ -14,12 +14,12 @@ a co-array half-length L and G grid points, and the grid keeps only
 about sqrt(L) steering rows.
 
 Each estimate does only the linear algebra it uses.  The cumulants sum
-each distinct fourth moment once, in one single-precision GEMM per
-block of snapshots whose sums are kept in double, and MUSIC computes
-only the D largest eigenpairs of the smoothed covariance, by subspace
-iteration on the co-array window matrix that never forms the covariance,
-or by a full ``eigh`` where that would not converge within its cap or the
-covariance has rank below D.
+each distinct fourth moment once, and every second moment, in one
+single-precision GEMM per block of snapshots whose sums are kept in
+double, and MUSIC computes only the D largest eigenpairs of the smoothed
+covariance, by subspace iteration on the co-array window matrix that
+never forms the covariance, or by a full ``eigh`` where that would not
+converge within its cap or the covariance has rank below D.
 """
 
 from __future__ import annotations
@@ -77,15 +77,16 @@ _BLOCK = 2048
 
 
 @functools.lru_cache(maxsize=4)
-def _moment_index(n: int) -> Tuple[np.ndarray, np.ndarray]:
+def _moment_index(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Flat indices that spread the distinct-moment matrix over the N^4 tensors.
 
     The moment matrix has one row per pair a <= b and N^2 + P columns,
     P = N(N+1)/2: column c*N + d holds the sum of x_a x_b x_c conj(x_d),
     and column N^2 + pair(c, d) the sum of x_a x_b conj(x_c x_d).
-    Returns read-only ``(case1, case2)`` index arrays of shape (N,)*4:
-    entry (a,b,c,d) of case 1 is at row pair(a,b), column c*N + d, and of
-    case 2 at row pair(a,c), column N^2 + pair(b,d).
+    Returns read-only ``(case1, case2, pair)`` index arrays: entry
+    (a,b,c,d) of case 1 is at row pair(a,b), column c*N + d, of case 2
+    at row pair(a,c), column N^2 + pair(b,d), and ``pair`` is the N x N
+    table of pair(a,b).
     """
     rows, cols = np.triu_indices(n)
     pair = np.empty((n, n), np.intp)
@@ -95,15 +96,14 @@ def _moment_index(n: int) -> Tuple[np.ndarray, np.ndarray]:
              + np.arange(n * n).reshape(1, 1, n, n))
     case2 = (pair[:, None, :, None] * width
              + n * n + pair[None, :, None, :])
-    case1.flags.writeable = False
-    case2.flags.writeable = False
-    return case1, case2
+    for index in (case1, case2, pair):
+        index.flags.writeable = False
+    return case1, case2, pair
 
 
 def _binary_exponent(x: np.ndarray) -> int:
     """The e with 2^e just above x's largest |Re| or |Im|, at least -1021 so that 2^-e is finite."""
-    parts = (x.real, x.imag) if x.dtype.kind == "c" else (x,)
-    _, e = math.frexp(max(max(np.max(part), -np.min(part)) for part in parts))
+    _, e = math.frexp(max(max(np.max(part), -np.min(part)) for part in (x.real, x.imag)))
     return max(e, -1021)
 
 
@@ -125,26 +125,26 @@ def sample_cumulants(snapshots) -> CumulantBank:
 
     A fourth moment does not change when its unconjugated arguments are
     permuted, or its conjugated ones, so each distinct moment is summed
-    once.  Per block of B = 2048 snapshot columns, u holds x_a x_b for
-    the P = N(N+1)/2 pairs a <= b and W stacks x_c conj(x_d) (N^2 rows)
-    over conj(u) (P rows); one P x (N^2 + P) GEMM u W^T adds the block's
-    moments, where the two N^2 x N^2 GEMMs of every case-1 and case-2
-    entry did 2.2 to 2.5 times the work.  Both N^4 tensors are gathered
-    from that matrix (``_moment_index``), and the moments are divided by
-    K once at the end, so memory stays O(N^4 + N^2*B) for any K.
+    once, and the second moments ride along.  Per block of B = 2048
+    snapshot columns, u holds x_a x_b for the P = N(N+1)/2 pairs a <= b
+    over a row of ones, and W stacks x_c conj(x_d) (N^2 rows) over the
+    conjugates of those P products.  One (P+1) x (N^2 + P) GEMM u W^T
+    adds the block's moments: its first P rows hold the fourth moments,
+    which ``_moment_index`` gathers into both N^4 tensors, and its ones
+    row the sums of x_c conj(x_d) and conj(x_c x_d).  The sums are
+    divided by K once at the end, so memory stays O(N^4 + N^2*B).
 
-    The snapshots are read as complex128, which copies nothing for the
-    complex128 blocks the simulator draws; real snapshots give complex
-    tensors too.  The products and the GEMM run in complex64, and the
-    blocks are summed in double precision.  Their rounding, a few 1e-6
-    of the largest entry, lies far below the sampling error of about
-    K^(-1/2) (1e-2 at K = 14000).  To keep the range of double
-    precision, the snapshots are scaled by 2^-e before the
-    single-precision cast, with 2^e just above their largest real or
-    imaginary part, and the sums by 2^(4e) after it; in the normal range
-    a power of two commutes with rounding, so the scaling changes no bit
-    of the result.  The second moments and the pairing terms stay in
-    double precision.
+    The snapshots are read as complex128 (real ones give complex tensors
+    too), and the products and the GEMM run in complex64, with the
+    blocks summed in double precision.  That rounding, 1e-6 to 1.3e-5 of
+    the largest entry (at most 113 float32 eps in the tests, in a -20 dB
+    scene where the second moments cancel the fourth most), lies far
+    below the sampling error of about K^(-1/2).  To keep double
+    precision's range, the snapshots are scaled by 2^-e before the cast,
+    with 2^e just above their largest real or imaginary part, and the
+    sums by 2^(4e) (fourth moments) or 2^(2e) (second moments) after it;
+    in the normal range a power of two commutes with rounding, so no bit
+    of the result changes.
     """
     x = np.asarray(snapshots, dtype=complex)
     if x.ndim != 2:
@@ -158,16 +158,12 @@ def sample_cumulants(snapshots) -> CumulantBank:
     width = min(k, _BLOCK)
     xs = np.empty((n, width), np.complex64)   # the scaled block, x_a 2^-e
     xc = np.empty((n, width), np.complex64)   # its conjugate
-    u = np.empty((p, width), np.complex64)    # x_a x_b, a <= b
-    w = np.empty((n * n + p, width), np.complex64)  # x_c conj(x_d), then conj(u)
+    u = np.ones((p + 1, width), np.complex64)  # x_a x_b, a <= b, over a row of ones
+    w = np.empty((n * n + p, width), np.complex64)  # x_c conj(x_d), then conj(x_c x_d)
     v = w[:n * n].reshape(n, n, width)
-    ra = np.zeros((n, n), complex)            # sum of x_a x_b
-    rb = np.zeros((n, n), complex)            # sum of x_a conj(x_b)
-    m = np.zeros((p, n * n + p), complex)     # distinct fourth moments
+    m = np.zeros((p + 1, n * n + p), complex)  # distinct fourth moments, then second
     for start in range(0, k, _BLOCK):
         xb = x[:, start:start + _BLOCK]
-        ra += xb @ xb.T
-        rb += xb @ xb.conj().T
         cols = xb.shape[1]
         bs, bc, bu, bw = xs[:, :cols], xc[:, :cols], u[:, :cols], w[:, :cols]
         np.multiply(xb, scale, out=bs, casting="same_kind")
@@ -177,14 +173,15 @@ def sample_cumulants(snapshots) -> CumulantBank:
             np.multiply(bs[a], bs[a:], out=bu[row:row + n - a])
             row += n - a
         np.multiply(bs[:, None, :], bc[None, :, :], out=v[:, :, :cols])
-        np.conjugate(bu, out=bw[n * n:])
+        np.conjugate(bu[:p], out=bw[n * n:])
         m += bu @ bw.T
-    ra /= k
-    rb /= k
     real = m.view(m.real.dtype)
-    np.ldexp(real, 4 * e, out=real)
+    np.ldexp(real[:p], 4 * e, out=real[:p])
+    np.ldexp(real[p], 2 * e, out=real[p])
     m /= k
-    index1, index2 = _moment_index(n)
+    index1, index2, pair = _moment_index(n)
+    rb = m[p, :n * n].reshape(n, n)           # mean of x_a conj(x_b)
+    ra = m[p, n * n:][pair].conj()            # mean of x_a x_b
     c1 = (
         m.take(index1)
         - ra[:, :, None, None] * rb[None, None, :, :]

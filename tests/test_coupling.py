@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coarraylab import coupling
 from coarraylab.coupling import BAND, C1, coupling_leakage, coupling_matrix
 from coarraylab.geometry import build_fogna
 from coarraylab.optimizer import optimize
@@ -102,6 +103,14 @@ class TestMatrixMatchesLoop:
                              ids=["one-sensor", "pair-past-the-band", "design"])
     def test_result_is_complex(self, source):
         assert coupling_matrix(source).dtype == np.complex128
+
+    def test_lookup_is_sized_by_the_table(self, monkeypatch):
+        # the import-time table bounds the lookup, so a BAND patched past
+        # it cannot index beyond its end
+        positions = (0, 1, 150, 400)
+        want = coupling_matrix(positions)
+        monkeypatch.setattr(coupling, "BAND", 300)
+        assert_same_bytes(coupling_matrix(positions), want)
 
 
 class TestLeakage:
