@@ -136,7 +136,7 @@ def cmd_coarray(args) -> int:
             "segment": json.loads(segment.to_json()),
         }
         if args.entries:
-            entry["entries"] = {str(l): m for l, m in sorted(multiset.items())}
+            entry["entries"] = {str(l): m for l, m in multiset.items()}
         report[which] = entry
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:

@@ -76,31 +76,6 @@ class CumulantBank:
 _BLOCK = 2048
 
 
-@functools.lru_cache(maxsize=4)
-def _moment_index(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flat indices that spread the distinct-moment matrix over the N^4 tensors.
-
-    The moment matrix has one row per pair a <= b and N^2 + P columns,
-    P = N(N+1)/2: column c*N + d holds the sum of x_a x_b x_c conj(x_d),
-    and column N^2 + pair(c, d) the sum of x_a x_b conj(x_c x_d).
-    Returns read-only ``(case1, case2, pair)`` index arrays: entry
-    (a,b,c,d) of case 1 is at row pair(a,b), column c*N + d, of case 2
-    at row pair(a,c), column N^2 + pair(b,d), and ``pair`` is the N x N
-    table of pair(a,b).
-    """
-    rows, cols = np.triu_indices(n)
-    pair = np.empty((n, n), np.intp)
-    pair[rows, cols] = pair[cols, rows] = np.arange(rows.size)
-    width = n * n + rows.size
-    case1 = (pair[:, :, None, None] * width
-             + np.arange(n * n).reshape(1, 1, n, n))
-    case2 = (pair[:, None, :, None] * width
-             + n * n + pair[None, :, None, :])
-    for index in (case1, case2, pair):
-        index.flags.writeable = False
-    return case1, case2, pair
-
-
 def _binary_exponent(x: np.ndarray) -> int:
     """The e with 2^e just above x's largest |Re| or |Im|, at least -1021 so that 2^-e is finite."""
     _, e = math.frexp(max(max(np.max(part), -np.min(part)) for part in (x.real, x.imag)))
@@ -130,9 +105,12 @@ def sample_cumulants(snapshots) -> CumulantBank:
     over a row of ones, and W stacks x_c conj(x_d) (N^2 rows) over the
     conjugates of those P products.  One (P+1) x (N^2 + P) GEMM u W^T
     adds the block's moments: its first P rows hold the fourth moments,
-    which ``_moment_index`` gathers into both N^4 tensors, and its ones
-    row the sums of x_c conj(x_d) and conj(x_c x_d).  The sums are
-    divided by K once at the end, so memory stays O(N^4 + N^2*B).
+    and its ones row the sums of x_c conj(x_d) and conj(x_c x_d).  The
+    N x N table ``pair`` numbers the pairs in u's row order, and both
+    N^4 tensors are gathered through it: case-1 entry (a,b,c,d) is row
+    pair[a,b], column c*N + d, and case-2 entry (a,b,c,d) is row
+    pair[a,c], column N^2 + pair[b,d].  The sums are divided by K once
+    at the end, so memory stays O(N^4 + N^2*B).
 
     The snapshots are read as complex128 (real ones give complex tensors
     too), and the products and the GEMM run in complex64, with the
@@ -179,17 +157,19 @@ def sample_cumulants(snapshots) -> CumulantBank:
     np.ldexp(real[:p], 4 * e, out=real[:p])
     np.ldexp(real[p], 2 * e, out=real[p])
     m /= k
-    index1, index2, pair = _moment_index(n)
+    rows, cols = np.triu_indices(n)
+    pair = np.empty((n, n), np.intp)
+    pair[rows, cols] = pair[cols, rows] = np.arange(p)
     rb = m[p, :n * n].reshape(n, n)           # mean of x_a conj(x_b)
     ra = m[p, n * n:][pair].conj()            # mean of x_a x_b
     c1 = (
-        m.take(index1)
+        m[pair, :n * n].reshape(n, n, n, n)
         - ra[:, :, None, None] * rb[None, None, :, :]
         - ra[:, None, :, None] * rb[None, :, None, :]
         - rb[:, None, None, :] * ra[None, :, :, None]
     )
     c2 = (
-        m.take(index2)
+        m[pair[:, None, :, None], n * n + pair[None, :, None, :]]
         - rb[:, :, None, None] * rb[None, None, :, :]
         - ra[:, None, :, None] * ra.conj()[None, :, None, :]
         - rb[:, None, None, :] * rb.T[None, :, :, None]
@@ -220,7 +200,7 @@ def assemble_foeca(bank: CumulantBank, array: SensorArray, lc: Optional[int] = N
         lags = case_virtual_positions(array, case)
         vals = bank.case(case).ravel()
         sel = np.abs(lags) <= lc
-        np.add.at(sums, (lags[sel] + lc).astype(np.intp), vals[sel])
+        np.add.at(sums, lags[sel] + lc, vals[sel])
     values = sums / multiset.counts[-multiset.lo - lc:-multiset.lo + lc + 1]
     return 0.5 * (values + values[::-1].conj())
 

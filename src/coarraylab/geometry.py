@@ -126,7 +126,7 @@ def _cna_positions(m1: int, m2: int) -> Tuple[int, ...]:
     mid_last = m1 + (m1 + 1) * (m2 - 1)
     middle = range(m1, mid_last + 1, m1 + 1)
     right = range(mid_last + 1, 2 * m1 + (m1 + 1) * (m2 - 1) + 1)
-    return tuple(sorted(set(left) | set(middle) | set(right)))
+    return (*left, *middle, *right)
 
 
 def build_cna(m1: int, m2: int) -> SensorArray:

@@ -27,8 +27,11 @@ __all__ = [
 @dataclass(frozen=True)
 class OptimizerResult:
     best_params: FognaParams
-    dof_star: int
     trace: Tuple[FognaParams, ...]
+
+    @property
+    def dof_star(self) -> int:
+        return self.best_params.dof
 
 
 def tail_allocation(n: int, n1: int) -> Tuple[int, int]:
@@ -64,7 +67,7 @@ def optimize(n: int) -> OptimizerResult:
         if best is None or params.dof > best.dof:
             best = params
     assert best is not None
-    return OptimizerResult(best, best.dof, tuple(trace))
+    return OptimizerResult(best, tuple(trace))
 
 
 def dof_quadratic(n: int, n1: int, n3: int) -> int:

@@ -348,6 +348,20 @@ class TestSampleCumulants:
                 tracemalloc.stop()
         assert peaks[1] <= 1.5 * peaks[0], f"peaks {peaks[0] / 1e6:.1f} and {peaks[1] / 1e6:.1f} MB"
 
+    def test_keeps_no_state_between_calls(self):
+        # nothing N^4-sized may outlive the call: at N = 13 one cached
+        # int64 index table over both tensors would hold 457 KB
+        rng = np.random.default_rng(13)
+        x = rng.standard_normal((13, 64)) + 1j * rng.standard_normal((13, 64))
+        tracemalloc.start()
+        try:
+            bank = sample_cumulants(x)
+            del bank
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained < 64_000, f"{retained / 1e3:.1f} KB retained"
+
     def test_rejects_short_input(self):
         with pytest.raises(ValueError):
             sample_cumulants(np.ones((2, 1), dtype=complex))
