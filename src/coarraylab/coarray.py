@@ -19,9 +19,12 @@ over all N^4 ordered quadruples, and the extended co-array is their
 multiset-sum (3*N^4 entries in total).  Case 3 is case 1 negated and
 case 2 is symmetric about lag 0, so ``foeca`` counts g = 2*case1 + case2
 in one pass of the counter and folds it: foeca(l) = (g(l) + g(-l)) / 2.
-The counter works over the attained lag range and accumulates in int32
-while the largest possible entry, every tuple at one lag, is below 2^31
+The counter reads the attained lag range from the two extreme positions,
+so no pass over the sums looks for it, and accumulates in int32 while
+the largest possible entry, every tuple at one lag, is below 2^31
 (3*N^4 for ``foeca``, so up to 163 sensors), and in int64 past that.
+Its accumulator is returned as it is: ``foeca`` folds it straight into
+its int64 result, and the other builders widen it once.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import json
 import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
@@ -150,11 +153,11 @@ class SegmentReport:
         return json.dumps(payload, sort_keys=True)
 
 
-def _signed_sums(p: np.ndarray, signs: Sequence[int]) -> np.ndarray:
-    """sum_i signs[i] * p[l_i] for every ordered index tuple, flat in C order."""
+def _outer_sums(vectors) -> np.ndarray:
+    """v_1[l_1] + v_2[l_2] + ... for every ordered index tuple, flat in C order."""
     sums = np.zeros((), dtype=np.int64)
-    for s in signs:
-        sums = np.add.outer(sums, s * p)
+    for v in vectors:
+        sums = np.add.outer(sums, v)
     return sums.ravel()
 
 
@@ -163,50 +166,67 @@ def _count_lags(source, rows: Mapping[Tuple[int, ...], int]) -> Tuple[int, np.nd
 
     ``rows`` maps sign rows that share their last sign to integer weights
     >= 1.  Returns (lo, counts): ``counts[i]`` is the weighted
-    multiplicity of lag ``lo + i``, in an int64 array over the attained
-    range [min_rows sum_i min(s_i * p), max_rows sum_i max(s_i * p)], so
-    both end counts are nonzero.  One ``np.bincount`` per row counts the
-    sums of all but the last index (N^(k-1) of them) over the row's own
-    range; the weighted histograms are summed into one head over the
-    rows' common range, which is added once per sensor, shifted by its
-    signed position.  No N^k lag array is ever formed, so the work stays
-    in cache and allocations stay small.  The head and the counts
-    accumulate in int32 when the largest possible entry,
-    sum(weight * N^k) (every tuple at one lag), is below 2^31, and in
-    int64 otherwise.
+    multiplicity of lag ``lo + i`` over the attained range
+    [min_rows sum_i min(s_i * p), max_rows sum_i max(s_i * p)], so both
+    end counts are nonzero.  The ranges are read from the two extreme
+    positions: index i of a row adds s_i * p - min(s_i * p_min, s_i * p_max),
+    so the row's head sums (all but the last index, N^(k-1) of them)
+    are >= 0, and one ``np.bincount`` counts them over the row's range
+    [sum min, sum max] with no pass over the sums to find or shift it.
+    The weighted histograms are written into one head over the rows'
+    common range, which is added once per sensor, shifted by its signed
+    position.  No N^k lag array is ever formed, so the work stays in
+    cache and allocations stay small.  The head and the counts
+    accumulate, and are returned, in int32 when the largest possible
+    entry, sum(weight * N^k) (every tuple at one lag), is below 2^31,
+    and in int64 otherwise.
     """
     p = _positions(source)
     (last,) = {signs[-1] for signs in rows}
     if len(p) == 0:
         return 0, np.zeros(0, dtype=np.int64)
-    heads = [_signed_sums(p, signs[:-1]) for signs in rows]
-    lows = [int(sums.min()) for sums in heads]
+    p_min, p_max = int(p.min()), int(p.max())
+    lows = [sum(min(s * p_min, s * p_max) for s in signs[:-1]) for signs in rows]
+    highs = [sum(max(s * p_min, s * p_max) for s in signs[:-1]) for signs in rows]
     low = min(lows)
-    size = max(int(sums.max()) for sums in heads) - low + 1
+    size = max(highs) - low + 1
     largest = sum(weight * len(p) ** len(signs) for signs, weight in rows.items())
     dtype = np.int32 if largest < 2 ** 31 else np.int64
     head = np.zeros(size, dtype=dtype)
-    for sums, row_low, weight in zip(heads, lows, rows.values()):
-        sums -= row_low
+    for i, (signs, weight) in enumerate(rows.items()):
+        sums = _outer_sums(s * p - min(s * p_min, s * p_max) for s in signs[:-1])
         counted = np.bincount(sums)
-        counted *= weight
-        head[row_low - low:row_low - low + len(counted)] += counted
+        row = head[lows[i] - low:lows[i] - low + len(counted)]
+        if i == 0:
+            np.multiply(counted, weight, out=row, casting="unsafe")
+        else:
+            counted *= weight
+            np.add(row, counted, out=row, casting="unsafe")
+        # freed before the next row's are made: the smaller the call's
+        # peak, the more of it the allocator keeps for the next call
+        del sums, counted
     shifts = (last * p).tolist()
     first = min(shifts)
     counts = np.zeros(size + max(shifts) - first, dtype=dtype)
     for shift in shifts:
         counts[shift - first:shift - first + size] += head
-    return low + first, counts.astype(np.int64)
+    return low + first, counts
+
+
+def _lag_counts(source, rows: Mapping[Tuple[int, ...], int]) -> LagCounts:
+    """``_count_lags`` as a ``LagCounts``, its counts widened to int64 once."""
+    lo, counts = _count_lags(source, rows)
+    return LagCounts(lo, counts.astype(np.int64, copy=False))
 
 
 def sum_coarray(source) -> LagCounts:
     """Second-order sum co-array: multiset of p_i + p_j over ordered pairs."""
-    return LagCounts(*_count_lags(source, {(1, 1): 1}))
+    return _lag_counts(source, {(1, 1): 1})
 
 
 def diff_coarray(source) -> LagCounts:
     """Second-order difference co-array: multiset of p_i - p_j over ordered pairs."""
-    return LagCounts(*_count_lags(source, {(1, -1): 1}))
+    return _lag_counts(source, {(1, -1): 1})
 
 
 def case_virtual_positions(source, case: int) -> np.ndarray:
@@ -218,12 +238,13 @@ def case_virtual_positions(source, case: int) -> np.ndarray:
     cumulant tensors, so this array doubles as the lag lookup for
     redundancy averaging.
     """
-    return _signed_sums(_positions(source), _case_signs(case))
+    p = _positions(source)
+    return _outer_sums(s * p for s in _case_signs(case))
 
 
 def foca(source, case: int) -> LagCounts:
     """Fourth-order co-array for one conjugation case (multiset over N^4 quadruples)."""
-    return LagCounts(*_count_lags(source, {_case_signs(case): 1}))
+    return _lag_counts(source, {_case_signs(case): 1})
 
 
 def foeca(source) -> LagCounts:
@@ -234,15 +255,26 @@ def foeca(source) -> LagCounts:
     case 2 is symmetric about lag 0, so with g = 2*case1 + case2 the
     multiplicity of lag l is (g(l) + g(-l)) / 2, exact in integers.  Both
     cases end in -p4, so ``_count_lags`` counts g in one pass, in int32
-    while 3*N^4 < 2^31 (up to 163 sensors).  The fold adds g(l) + g(-l),
-    which can reach 6*N^4, in int64.
+    while 3*N^4 < 2^31 (up to 163 sensors).  g spans [lo, hi] with
+    lo <= 0 <= hi, and its mirror g(-l) spans [-hi, -lo]: one of the
+    two starts at -span and the other ends at +span.  The fold writes
+    each int64 entry once, copying where only one of them reaches and
+    adding them, in int64 (the sum can reach 6*N^4), where both do;
+    every sum is even and non-negative, so a right shift halves it.
     """
     lo, g = _count_lags(source, {CASE_SIGNS[1]: 2, CASE_SIGNS[2]: 1})
-    span = max(-lo, lo + len(g) - 1, 0)
-    counts = np.zeros(2 * span + 1, dtype=np.int64)
-    counts[span + lo:span + lo + len(g)] = g
-    counts[span - lo - len(g) + 1:span - lo + 1] += g[::-1]
-    counts //= 2
+    n = len(g)
+    if n == 0:
+        return LagCounts(0, g)
+    span = max(-lo, lo + n - 1)
+    left = g if lo == -span else g[::-1]  # the one of g(l), g(-l) that starts at -span
+    right = left[::-1]
+    edge = 2 * span + 1 - n  # entries reached by one of them only, at each end
+    counts = np.empty(2 * span + 1, dtype=np.int64)
+    counts[:edge] = left[:edge]
+    np.add(left[edge:], right[:n - edge], out=counts[edge:n], dtype=np.int64)
+    counts[n:] = right[n - edge:]
+    counts >>= 1
     return LagCounts(-span, counts)
 
 

@@ -153,6 +153,7 @@ def sample_cumulants(snapshots) -> CumulantBank:
         np.multiply(bs[:, None, :], bc[None, :, :], out=v[:, :, :cols])
         np.conjugate(bu[:p], out=bw[n * n:])
         m += bu @ bw.T
+    del xs, xc, u, w, v, bs, bc, bu, bw  # the block buffers, freed before the N^4 gathers
     real = m.view(m.real.dtype)
     np.ldexp(real[:p], 4 * e, out=real[:p])
     np.ldexp(real[p], 2 * e, out=real[p])

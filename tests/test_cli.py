@@ -168,10 +168,15 @@ class TestTables:
      "3042f58cd382acefc0d61f104daca9d18ec0b912f54edaa22719479d5043a103"),
     (["dof-table", "9", "11", "19"], "dof_table.csv",
      "b9b04080ccdcfc6a904f12d7f1730cb16724247ae775e3fd8248e2bbe03bc5c9"),
-], ids=["coarray-stdout", "coupling-table", "coupling-table-40", "dof-table"])
+    # the large-aperture fold: the 40-sensor design spans lags -85080..85080
+    (["coarray", "--fogna", "40", "--which", "foeca"], "coarray.json",
+     "e91e4b460cc77b3ba680d64cbb21983c777e4e9cc980af7b3f6576f29faf601d"),
+], ids=["coarray-stdout", "coupling-table", "coupling-table-40", "dof-table", "coarray-40-out"])
 def test_output_digest_is_pinned(capsys, tmp_path, argv, output, digest):
     if output is not None:
-        argv = [*argv, "--out-dir", str(tmp_path)]
+        # coarray writes one file, the table commands a directory
+        out = ["--out", str(tmp_path / output)] if argv[0] == "coarray" else ["--out-dir", str(tmp_path)]
+        argv = [*argv, *out]
     code, out, _ = run(capsys, *argv)
     assert code == 0
     data = out.encode() if output is None else (tmp_path / output).read_bytes()

@@ -8,13 +8,14 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coarraylab.coarray import (
     CASE_SIGNS,
     LagCounts,
     SegmentReport,
+    _count_lags,
     analyze_segment,
     case_virtual_positions,
     diff_coarray,
@@ -277,7 +278,9 @@ class TestLagCounts:
         assert m.total() == 0 and len(m.counts) == 0
 
     def test_foeca_peak_memory_at_forty_sensors(self):
-        # building a Counter of every distinct lag peaked at 11.5 MB here
+        # building a Counter of every distinct lag peaked at 11.5 MB, and
+        # the min/max scans over the head sums with a zero-filled fold at
+        # 3.86 MB; the position-derived ranges and the one-pass fold 2.06 MB
         array = build_fogna(optimize(40).best_params)
         tracemalloc.start()
         try:
@@ -285,7 +288,7 @@ class TestLagCounts:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 11.5e6, f"foeca peaked at {peak / 1e6:.1f} MB"
+        assert peak < 3.2e6, f"foeca peaked at {peak / 1e6:.1f} MB"
 
 
 class TestCounter:
@@ -390,6 +393,33 @@ def test_builders_match_oracle(name, positions):
         assert m.lo == min(expected) and m.counts[0] and m.counts[-1]
     else:
         assert len(m.counts) == 0
+
+
+# every weighted sign-row set the co-array builders hand the counter
+COUNTER_ROWS = [{(1, 1): 1}, {(1, -1): 1}, *({signs: 1} for signs in CASE_SIGNS.values()),
+                {CASE_SIGNS[1]: 2, CASE_SIGNS[2]: 1}]
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.sampled_from(COUNTER_ROWS),
+       positions=st.one_of(st.lists(st.integers(-12, 12), min_size=1, max_size=5),
+                           st.integers(1, 5).map(lambda n: (0,) * n)))
+@example(rows=COUNTER_ROWS[-1], positions=(0, 0, 0))
+@example(rows=COUNTER_ROWS[1], positions=(-7, 3, -7, 3))
+def test_counter_range_is_read_from_the_extreme_positions(rows, positions):
+    # negative, repeated and all-zero positions: the counts span exactly
+    # [min_rows sum min(s * p), max_rows sum max(s * p)], both ends attained
+    lo, counts = _count_lags(positions, rows)
+    low = min(sum(min(s * p for p in positions) for s in signs) for signs in rows)
+    high = max(sum(max(s * p for p in positions) for s in signs) for signs in rows)
+    assert lo == low and len(counts) == high - low + 1
+    assert counts[0] and counts[-1]
+    expected = Counter()
+    for signs, weight in rows.items():
+        for lag, mult in oracle_multiset(positions, signs).items():
+            expected[lag] += weight * mult
+    present = np.flatnonzero(counts)
+    assert dict(zip((present + lo).tolist(), counts[present].tolist())) == dict(expected)
 
 
 def assert_matches_oracle_segment(report, lags):

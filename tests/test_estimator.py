@@ -362,6 +362,19 @@ class TestSampleCumulants:
             tracemalloc.stop()
         assert retained < 64_000, f"{retained / 1e3:.1f} KB retained"
 
+    def test_block_buffers_are_freed_before_the_gathers(self):
+        # N = 19, K = 2000: 15.1 MB traced with the block products freed
+        # before the N^4 gathers, 20.7 MB with them held to the return
+        rng = np.random.default_rng(19)
+        x = rng.standard_normal((19, 2000)) + 1j * rng.standard_normal((19, 2000))
+        tracemalloc.start()
+        try:
+            sample_cumulants(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 18e6, f"sample_cumulants peaked at {peak / 1e6:.1f} MB"
+
     def test_rejects_short_input(self):
         with pytest.raises(ValueError):
             sample_cumulants(np.ones((2, 1), dtype=complex))
