@@ -133,7 +133,7 @@ def cmd_coarray(args) -> int:
         segment = ca.analyze_segment(multiset)
         entry: Dict[str, object] = {
             "total": multiset.total(),
-            "segment": json.loads(segment.to_json()),
+            "segment": segment.as_dict(),
         }
         if args.entries:
             entry["entries"] = {str(l): m for l, m in multiset.items()}

@@ -24,12 +24,11 @@ so no pass over the sums looks for it, and accumulates in int32 while
 the largest possible entry, every tuple at one lag, is below 2^31
 (3*N^4 for ``foeca``, so up to 163 sensors), and in int64 past that.
 Its accumulator is returned as it is: ``foeca`` folds it straight into
-its int64 result, and the other builders widen it once.
+its int64 result, and ``LagCounts`` widens the other builders' once.
 """
 
 from __future__ import annotations
 
-import json
 import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -37,7 +36,7 @@ from typing import Iterator, List, Tuple
 
 import numpy as np
 
-from .geometry import SensorArray
+from .geometry import position_array
 
 __all__ = [
     "LagCounts",
@@ -54,12 +53,6 @@ __all__ = [
 CASE_SIGNS = {1: (1, 1, 1, -1), 2: (1, -1, 1, -1), 3: (-1, -1, -1, 1)}
 
 
-def _positions(source) -> np.ndarray:
-    if isinstance(source, SensorArray):
-        source = source.positions
-    return np.array([int(p) for p in source], dtype=np.int64)
-
-
 def _case_signs(case: int) -> Tuple[int, int, int, int]:
     if case not in CASE_SIGNS:
         raise ValueError(f"case must be 1, 2 or 3, got {case}")
@@ -70,8 +63,8 @@ class LagCounts(Mapping):
     """A co-array: lag -> multiplicity, held as one dense read-only array.
 
     ``counts[i]`` is the multiplicity of lag ``lo + i``.  The array is
-    trimmed to [min lag, max lag] (empty for an empty co-array), and a
-    zero inside it is a hole, which is absent from the mapping.
+    trimmed to [min lag, max lag] (empty for an empty co-array) and
+    widened to int64; a zero inside it is a hole, absent from the mapping.
     """
 
     __slots__ = ("lo", "counts")
@@ -85,6 +78,7 @@ class LagCounts(Mapping):
                 lo, counts = 0, counts[:0]
             else:
                 lo, counts = lo + int(present[0]), counts[present[0]:present[-1] + 1]
+        counts = counts.astype(np.int64, copy=False)
         counts.flags.writeable = False
         self.lo, self.counts = lo, counts
 
@@ -142,15 +136,15 @@ class SegmentReport:
     def dof(self) -> int:
         return 2 * self.lc + 1
 
-    def to_json(self) -> str:
-        payload = {
+    def as_dict(self) -> dict:
+        """The report as a dict of Python ints and lists, ready for ``json.dumps``."""
+        return {
             "full_min": self.full_min,
             "full_max": self.full_max,
             "central_consecutive": list(self.central_consecutive),
             "dof": self.dof,
             "holes": self.holes.tolist(),
         }
-        return json.dumps(payload, sort_keys=True)
 
 
 def _outer_sums(vectors) -> np.ndarray:
@@ -181,7 +175,7 @@ def _count_lags(source, rows: Mapping[Tuple[int, ...], int]) -> Tuple[int, np.nd
     entry, sum(weight * N^k) (every tuple at one lag), is below 2^31,
     and in int64 otherwise.
     """
-    p = _positions(source)
+    p = position_array(source)
     (last,) = {signs[-1] for signs in rows}
     if len(p) == 0:
         return 0, np.zeros(0, dtype=np.int64)
@@ -213,20 +207,14 @@ def _count_lags(source, rows: Mapping[Tuple[int, ...], int]) -> Tuple[int, np.nd
     return low + first, counts
 
 
-def _lag_counts(source, rows: Mapping[Tuple[int, ...], int]) -> LagCounts:
-    """``_count_lags`` as a ``LagCounts``, its counts widened to int64 once."""
-    lo, counts = _count_lags(source, rows)
-    return LagCounts(lo, counts.astype(np.int64, copy=False))
-
-
 def sum_coarray(source) -> LagCounts:
     """Second-order sum co-array: multiset of p_i + p_j over ordered pairs."""
-    return _lag_counts(source, {(1, 1): 1})
+    return LagCounts(*_count_lags(source, {(1, 1): 1}))
 
 
 def diff_coarray(source) -> LagCounts:
     """Second-order difference co-array: multiset of p_i - p_j over ordered pairs."""
-    return _lag_counts(source, {(1, -1): 1})
+    return LagCounts(*_count_lags(source, {(1, -1): 1}))
 
 
 def case_virtual_positions(source, case: int) -> np.ndarray:
@@ -238,13 +226,13 @@ def case_virtual_positions(source, case: int) -> np.ndarray:
     cumulant tensors, so this array doubles as the lag lookup for
     redundancy averaging.
     """
-    p = _positions(source)
+    p = position_array(source)
     return _outer_sums(s * p for s in _case_signs(case))
 
 
 def foca(source, case: int) -> LagCounts:
     """Fourth-order co-array for one conjugation case (multiset over N^4 quadruples)."""
-    return _lag_counts(source, {_case_signs(case): 1})
+    return LagCounts(*_count_lags(source, {_case_signs(case): 1}))
 
 
 def foeca(source) -> LagCounts:

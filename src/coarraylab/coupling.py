@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .geometry import SensorArray
+from .geometry import position_array
 
 __all__ = ["C1", "BAND", "coupling_matrix", "coupling_leakage", "REFERENCE_LEAKAGE"]
 
@@ -48,8 +48,7 @@ _COEFFICIENTS.flags.writeable = False
 
 def coupling_matrix(source) -> np.ndarray:
     """N x N complex128 coupling matrix: entry (i, j) is c_{|p_i - p_j|}, 0 past the band."""
-    positions = source.positions if isinstance(source, SensorArray) else tuple(source)
-    p = np.asarray(positions, dtype=np.int64)
+    p = position_array(source)
     sep = np.abs(p[:, None] - p[None, :])
     band = len(_COEFFICIENTS) - 1
     return np.where(sep <= band, _COEFFICIENTS[np.minimum(sep, band)], 0)

@@ -186,6 +186,9 @@ def assemble_foeca(bank: CumulantBank, array: SensorArray, lc: Optional[int] = N
     lag is its multiplicity in ``foeca(array)``.  Lc defaults to the
     measured hole-free half-length of that co-array; a given Lc must lie
     in [0, measured], since a lag outside the segment may have no contributor.
+    The sums span the whole co-array, which holds every case's lags, and
+    [-Lc, Lc] is sliced out once; case 3, case 1 negated, is scattered at
+    case 1's lags into the reversed sums, its mirrored lags.
     """
     if bank.n_sensors != array.n_sensors:
         raise ValueError("cumulant bank and array sensor counts differ")
@@ -196,13 +199,14 @@ def assemble_foeca(bank: CumulantBank, array: SensorArray, lc: Optional[int] = N
     if not 0 <= lc <= measured:
         raise ValueError(f"lc must lie in [0, {measured}], the array's hole-free "
                          f"co-array half-length, got {lc}")
-    sums = np.zeros(2 * lc + 1, dtype=complex)
-    for case in (1, 2, 3):
-        lags = case_virtual_positions(array, case)
-        vals = bank.case(case).ravel()
-        sel = np.abs(lags) <= lc
-        np.add.at(sums, lags[sel] + lc, vals[sel])
-    values = sums / multiset.counts[-multiset.lo - lc:-multiset.lo + lc + 1]
+    span = -multiset.lo
+    sums = np.zeros(2 * span + 1, dtype=complex)
+    index = case_virtual_positions(array, 1) + span
+    np.add.at(sums, index, bank.case1.ravel())
+    np.add.at(sums, case_virtual_positions(array, 2) + span, bank.case2.ravel())
+    np.add.at(sums[::-1], index, bank.case(3).ravel())
+    kept = slice(span - lc, span + lc + 1)
+    values = sums[kept] / multiset.counts[kept]
     return 0.5 * (values + values[::-1].conj())
 
 

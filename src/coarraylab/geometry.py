@@ -14,12 +14,16 @@ the published reference DOF rows they are compared against.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Tuple
 
+import numpy as np
+
 __all__ = [
     "SensorArray",
+    "position_array",
     "FognaParams",
     "round_nearest",
     "build_cna",
@@ -56,14 +60,14 @@ class SensorArray:
     positions: Tuple[int, ...]
 
     def __post_init__(self):
-        pos = tuple(int(p) for p in self.positions)
-        if len(pos) == 0:
+        p = position_array(self.positions)
+        if len(p) == 0:
             raise ValueError("array needs at least one sensor")
-        if any(b <= a for a, b in zip(pos, pos[1:])):
+        if np.any(p[1:] <= p[:-1]):
             raise ValueError("positions must be strictly increasing")
-        if pos[0] != 0:
+        if p[0] != 0:
             raise ValueError("positions must start at 0")
-        object.__setattr__(self, "positions", pos)
+        object.__setattr__(self, "positions", tuple(p.tolist()))
 
     @property
     def n_sensors(self) -> int:
@@ -72,6 +76,13 @@ class SensorArray:
     @property
     def aperture(self) -> int:
         return self.positions[-1]
+
+
+def position_array(source) -> np.ndarray:
+    """A ``SensorArray``'s positions, or integers read by ``operator.index`` (1.5 raises), as int64."""
+    if isinstance(source, SensorArray):
+        return np.array(source.positions, dtype=np.int64)
+    return np.array([operator.index(p) for p in source], dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -144,9 +155,7 @@ def build_nested(n1: int, n2: int) -> SensorArray:
     """Two-level nested array: {0..n1-1} plus {k*(n1+1)-1 : k=1..n2}."""
     if n1 < 1 or n2 < 1:
         raise ValueError(f"level sizes must be positive, got ({n1}, {n2})")
-    dense = set(range(n1))
-    sparse = {k * (n1 + 1) - 1 for k in range(1, n2 + 1)}
-    return SensorArray(tuple(sorted(dense | sparse)))
+    return SensorArray((*range(n1), *range(n1, n2 * (n1 + 1), n1 + 1)))
 
 
 def build_fogna(params) -> SensorArray:

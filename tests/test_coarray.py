@@ -272,6 +272,11 @@ class TestLagCounts:
         assert all(type(x) is int for pair in m.items() for x in pair)
         assert type(m.total()) is int and type(next(iter(m))) is int
 
+    def test_counts_are_widened_to_int64(self):
+        m = LagCounts(0, np.array([1, 2, 1], np.int32))
+        assert m.counts.dtype == np.int64 and not m.counts.flags.writeable
+        assert m.items() == [(0, 1), (1, 2), (2, 1)]
+
     def test_empty_co_array(self):
         m = foeca(())
         assert len(m) == 0 and list(m) == [] and m.items() == []
@@ -292,6 +297,17 @@ class TestLagCounts:
 
 
 class TestCounter:
+    @pytest.mark.parametrize("build, positions", [
+        (sum_coarray, (0, 1.5)),
+        (foeca, ("0", "3")),
+        (lambda p: foca(p, 1), (0, 2.0)),
+        (lambda p: case_virtual_positions(p, 2), (0, 1.5)),
+    ], ids=["sca-float", "foeca-str", "foca-float", "case-float"])
+    def test_non_integer_positions_raise(self, build, positions):
+        # positions are read through operator.index, so 1.5 is rejected, not truncated to 1
+        with pytest.raises(TypeError):
+            build(positions)
+
     @pytest.mark.parametrize("build", [sum_coarray, diff_coarray], ids=["sca", "dca"])
     def test_int64_accumulator_past_int32_range(self, build):
         # N^2 co-located sensors put every pair at lag 0: 46341^2 >= 2^31,
@@ -339,7 +355,7 @@ class TestAnalyzeSegment:
 
     def test_json_shapes(self):
         rep = analyze_segment(foeca((0, 1)))
-        seg = json.loads(rep.to_json())
+        seg = json.loads(json.dumps(rep.as_dict()))
         assert seg["central_consecutive"] == [-rep.lc, rep.lc]
         assert seg["dof"] == rep.dof
 
@@ -428,8 +444,8 @@ def assert_matches_oracle_segment(report, lags):
         expected.full_min, expected.full_max, expected.lc)
     assert np.array_equal(report.holes, expected.holes)
     assert report.holes.dtype == np.int64 and not report.holes.flags.writeable
-    # to_json fails on numpy integers, so this also checks every field is an int
-    assert report.to_json() == expected.to_json()
+    # json.dumps fails on numpy integers, so this also checks every field is an int
+    assert json.dumps(report.as_dict()) == json.dumps(expected.as_dict())
 
 
 @settings(max_examples=60, deadline=None)

@@ -69,6 +69,11 @@ class TestMatrix:
         assert c[1, 0] == pytest.approx(C1)
         assert c[0, 0] == c[1, 1] == 1.0
 
+    def test_rejects_non_integer_positions(self):
+        # positions are read through operator.index, so 1.5 is rejected, not truncated to 1
+        with pytest.raises(TypeError):
+            coupling_matrix((0, 1.5))
+
     def test_separation_indexing(self):
         c = coupling_matrix((0, 2, 7))
         assert c[0, 1] == pytest.approx(coefficient(2))

@@ -5,6 +5,7 @@ loop-and-pairings oracle, and the full pipeline against both analytic
 (closed-form) cumulants and a plain physical-ULA MUSIC reference.
 """
 
+import hashlib
 import math
 import tracemalloc
 from itertools import product
@@ -424,6 +425,25 @@ class TestAssemble:
         meas = assemble_foeca(analytic_bank(arr, [theta]), arr)
         model = -2 * np.exp(1j * np.pi * lags_of(meas) * math.sin(math.radians(theta)))
         assert np.max(np.abs(meas - model)) < 1e-10
+
+    # sha256 of the vector for a seeded Gaussian bank on the optimized
+    # design, at the measured Lc and at half of it, taken when each case's
+    # lags were masked to [-Lc, Lc] and scattered one case at a time
+    @pytest.mark.parametrize("n, half, digest", [
+        (7, False, "2ae6506834aae6ba5d424bbed4dc9e2883e5d601b6431a3c5053c0b7b9fff89c"),
+        (7, True, "798dd0489e65629c525c74a7461c93fd8a98ebaba76c2355de017d02703c7edf"),
+        (9, False, "ea2495a13199981654066196e8b7dacab7a0b9ecec6dd8832aea4ab04760ebf7"),
+        (9, True, "3583c8580999e78fc67912517240748fa53c2ce17796fb3ae991b076a09fdda2"),
+        (19, False, "523d75bad4fc3bc9069fa93ad254a4fb4eeff2664dd55da871237d916a868cae"),
+        (19, True, "54dfd76f01b8cb494ff321347ccacd199cf65cc7be20697f055533c21c179c1a"),
+    ])
+    def test_vector_is_pinned(self, n, half, digest):
+        arr = build_fogna(optimize(n).best_params)
+        z = np.random.default_rng(n).standard_normal((2, 2) + (n,) * 4)
+        c = z[:, 0] + 1j * z[:, 1]
+        measured = analyze_segment(foeca(arr)).lc
+        meas = assemble_foeca(CumulantBank(c[0], c[1]), arr, measured // 2 if half else None)
+        assert hashlib.sha256(meas.tobytes()).hexdigest() == digest
 
     def test_given_lc_is_the_central_part_of_the_default(self):
         # per-lag sums do not depend on Lc, so a smaller segment is a bitwise slice

@@ -1,5 +1,7 @@
 """Geometry constructors and closed-form DOF evaluators."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from coarraylab.geometry import (
     build_fogna,
     build_nested,
     competitor_dof,
+    position_array,
     round_nearest,
 )
 from coarraylab.optimizer import optimize
@@ -45,6 +48,24 @@ class TestSensorArray:
 
     def test_aperture(self):
         assert SensorArray((0, 1, 5)).aperture == 5
+
+    @pytest.mark.parametrize("positions", [(0, 1.5, 3), (0, 2.0), (0, "3")])
+    def test_rejects_non_integers(self, positions):
+        # read through operator.index, so 1.5 is rejected, not truncated to 1
+        with pytest.raises(TypeError):
+            SensorArray(positions)
+
+    def test_positions_are_python_ints(self):
+        array = SensorArray(np.array([0, 2, 5], dtype=np.int32))
+        assert array.positions == (0, 2, 5)
+        assert all(type(p) is int for p in array.positions)
+
+    def test_position_array(self):
+        p = position_array(SensorArray((0, 1, 5)))
+        assert p.dtype == np.int64 and p.tolist() == [0, 1, 5]
+        assert position_array(iter([4, -2, 4])).tolist() == [4, -2, 4]
+        with pytest.raises(TypeError):
+            position_array((0, 1.5))
 
 
 class TestCna:
@@ -135,6 +156,11 @@ class TestOtherBuilders:
         assert build_nested(3, 3).positions == (0, 1, 2, 3, 7, 11)
         assert build_nested(1, 1).positions == (0, 1)
         assert build_nested(2, 2).positions == (0, 1, 2, 5)
+
+    def test_nested_matches_its_definition(self):
+        for n1, n2 in product(range(1, 12), repeat=2):
+            sparse = {k * (n1 + 1) - 1 for k in range(1, n2 + 1)}
+            assert build_nested(n1, n2).positions == tuple(sorted(set(range(n1)) | sparse))
 
     def test_nested_difference_cover(self):
         # the two-level construction is used as a hole-free DCA baseline
