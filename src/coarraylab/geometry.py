@@ -2,7 +2,10 @@
 
 All positions are exact integers in units of the base spacing ``d``,
 which the steering model fixes at half a wavelength.  Keeping positions
-integral makes every downstream co-array computation exact.
+integral makes every downstream co-array computation exact, and the
+design counts are integers too: every count is read through
+``operator.index`` (a non-integer raises ``TypeError``) and every closed
+form is evaluated in integer arithmetic.
 
 The central family here is the three-subarray geometry built from a
 concatenated nested array (CNA) plus two wide-spaced ULAs, referred to
@@ -13,10 +16,8 @@ the published reference DOF rows they are compared against.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -25,7 +26,6 @@ __all__ = [
     "SensorArray",
     "position_array",
     "FognaParams",
-    "round_nearest",
     "build_cna",
     "build_nested",
     "build_fogna",
@@ -33,18 +33,6 @@ __all__ = [
     "FAMILIES",
     "REFERENCE_DOF_ROWS",
 ]
-
-
-def round_nearest(x: float) -> int:
-    """Round to the nearest integer; exact halves round down.
-
-    The CNA aperture is invariant under the tie direction (the aperture
-    quadratic is symmetric about the tie point), but the physical layout
-    is not: rounding halves down selects the flatter of the two CNA
-    layouts, which is the one the reference coupling-leakage rows were
-    generated with.
-    """
-    return math.ceil(x - 0.5)
 
 
 @dataclass(frozen=True)
@@ -90,8 +78,10 @@ class FognaParams:
     """Derived design parameters of a FOGNA split (N1, N2, N3).
 
     M1/M2 are the CNA block sizes, E1/E2 the apertures of subarray 1 and
-    of subarray 1+2's virtual extension.  ``from_split`` derives them and
-    checks the split; direct construction skips every one of those
+    of subarray 1+2's virtual extension.  ``from_split`` reads the counts
+    through ``operator.index`` (a non-integer raises ``TypeError``),
+    checks the split and derives them in integers, starting from
+    M1 = N1 // 4; direct construction skips every one of those
     checks, and ``build_fogna`` uses ``e1``/``e2`` as given, even when
     they disagree with the CNA block (M1, M2).  That is how a spacing
     other than the derived one is built on purpose (E1 = 17 for the
@@ -108,14 +98,17 @@ class FognaParams:
 
     @classmethod
     def from_split(cls, n1: int, n2: int, n3: int) -> "FognaParams":
+        n1, n2, n3 = map(operator.index, (n1, n2, n3))
         if n1 < 2:
             raise ValueError(f"subarray 1 needs at least 2 sensors, got N1={n1}")
         if n2 < 1 or n3 < 1:
             raise ValueError(f"subarrays 2 and 3 need at least 1 sensor, got ({n2}, {n3})")
-        m1 = round_nearest((n1 - 1) / 4)
+        # M1 = (N1 - 1)/4 rounded half down.  The aperture E1 is the same
+        # either way at a tie (its quadratic in M1 is symmetric about it),
+        # but halves down give the flatter CNA layout, the one the
+        # reference coupling-leakage rows were generated with.
+        m1 = n1 // 4
         m2 = n1 - 2 * m1
-        if m1 < 0 or m2 < 1:
-            raise ValueError(f"N1={n1} yields malformed CNA blocks (M1={m1}, M2={m2})")
         e1 = -2 * m1 * m1 + (n1 - 1) * m1 + n1 - 1
         e2 = 2 * e1 + n2 * (2 * e1 + 1)
         return cls(n1, n2, n3, m1, m2, e1, e2)
@@ -225,7 +218,9 @@ def competitor_dof(family: str, split: Sequence[int]) -> int:
     ``family`` is one of ``FAMILIES``, spelled as there.  ``split`` arity
     per family: FL_NA and SE_FL_NA take the four nesting levels,
     FO_FRACTAL_NA the two seed levels, SD_FODC_NA its four construction
-    parameters, FOGNA the (N1, N2, N3) subarray counts.
+    parameters, FOGNA the (N1, N2, N3) subarray counts.  Each is read
+    through ``operator.index``, so a non-integer raises ``TypeError``;
+    a form that is not an integer for the split raises ``ValueError``.
 
     Caveats, all inherited from the printed expressions: the SE_FL_NA
     form does not reproduce its own published rows (e.g. it yields 109
@@ -236,7 +231,7 @@ def competitor_dof(family: str, split: Sequence[int]) -> int:
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    split = tuple(int(x) for x in split)
+    split = tuple(map(operator.index, split))
     if len(split) != _ARITY[family]:
         raise ValueError(f"{family} takes {_ARITY[family]} split parameters, got {len(split)}")
 
@@ -247,23 +242,25 @@ def competitor_dof(family: str, split: Sequence[int]) -> int:
         n1, n2, n3, n4 = split
         return n3 * n4 * (2 * n1 * n2 - 1) + (n4 - 1) * (n1 * n2 - 1) - 1
     if family == "FO_FRACTAL_NA":
+        # N_total = 2*seed - 1 sensors, so the half-count is the seed g and
+        # M_r = (2g(g - 1) + 3)/3.  The DOF 2*M_r^2 - 1 is an integer iff 3
+        # divides t = 2g(g - 1); otherwise it is (2(t + 3)^2 - 9)/9 in
+        # lowest terms.
         n_seed = split[0]
-        n_total = 2 * n_seed - 1
-        n_g = Fraction(n_total + 1, 2)
-        m_r = Fraction(2, 3) * n_g * n_g - Fraction(2, 3) * n_g + 1
-        dof = 2 * m_r * m_r - 1
-        if dof.denominator != 1:
+        t = 2 * n_seed * (n_seed - 1)
+        if t % 3:
             raise ValueError(
-                f"FO_FRACTAL_NA form is non-integral for seed {n_seed} (got {dof}); "
+                f"FO_FRACTAL_NA form is non-integral for seed {n_seed} (got {2 * (t + 3) ** 2 - 9}/9); "
                 "it only closes when the half-count is 0 or 1 mod 3"
             )
-        return int(dof)
+        return 2 * (t // 3 + 1) ** 2 - 1
     if family == "SD_FODC_NA":
+        # twice the form (4*dm+2)*dn + (2*dm+1)*(mu2+1)/2 + (mu1-1)/2
         d_m, d_n, mu1, mu2 = split
-        val = Fraction((4 * d_m + 2) * d_n) + Fraction((2 * d_m + 1) * (mu2 + 1), 2) + Fraction(mu1 - 1, 2)
-        if val.denominator != 1:
-            raise ValueError(f"SD_FODC_NA form is non-integral for split {split} (got {val})")
-        return int(val)
+        twice = 2 * (4 * d_m + 2) * d_n + (2 * d_m + 1) * (mu2 + 1) + mu1 - 1
+        if twice % 2:
+            raise ValueError(f"SD_FODC_NA form is non-integral for split {split} (got {twice}/2)")
+        return twice // 2
     # FOGNA
     params = FognaParams.from_split(*split)
     n, n1, n3, e1 = params.n, params.n1, params.n3, params.e1

@@ -155,8 +155,9 @@ class TestTables:
 
 
 # sha256 of each output as the per-lag loop of analyze_segment and the
-# per-separation loop of the coupling coefficients wrote it; the vectorised
-# versions must reproduce these bytes.
+# per-separation loop of the coupling coefficients wrote it, and (design and
+# dof-table) as the float and Fraction count rules wrote it; the vectorised
+# and integer versions must reproduce these bytes.
 @pytest.mark.parametrize("argv, output, digest", [
     (["coarray", "--fogna", "19", "--which", "sca", "dca", "foca1", "foca2", "foca3",
       "foeca", "--entries"], None,
@@ -171,7 +172,15 @@ class TestTables:
     # the large-aperture fold: the 40-sensor design spans lags -85080..85080
     (["coarray", "--fogna", "40", "--which", "foeca"], "coarray.json",
      "e91e4b460cc77b3ba680d64cbb21983c777e4e9cc980af7b3f6576f29faf601d"),
-], ids=["coarray-stdout", "coupling-table", "coupling-table-40", "dof-table", "coarray-40-out"])
+    # N1 = 2 leads the trace: M1 = 0, a bare-ULA CNA
+    (["design", "4"], "design_trace_N4.csv",
+     "6cae8dc652ba4dd04146464d3878d3d7fdb130c863c58d48e3645c17ed07725b"),
+    (["design", "40"], "design_trace_N40.csv",
+     "7b8934db3d24547d70d565789174b83aed9d222c7d6e8fc5509f79a842efdb7c"),
+    (["dof-table", *map(str, range(4, 41))], "dof_table.csv",
+     "d447443e17334119f87efcfa1ac2f5d368be51b1d725a6ca070de95cada57240"),
+], ids=["coarray-stdout", "coupling-table", "coupling-table-40", "dof-table", "coarray-40-out",
+        "design-4", "design-40", "dof-table-4-40"])
 def test_output_digest_is_pinned(capsys, tmp_path, argv, output, digest):
     if output is not None:
         # coarray writes one file, the table commands a directory

@@ -1,5 +1,6 @@
 """Geometry constructors and closed-form DOF evaluators."""
 
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -16,25 +17,12 @@ from coarraylab.geometry import (
     build_nested,
     competitor_dof,
     position_array,
-    round_nearest,
 )
 from coarraylab.optimizer import optimize
 
 
 def spacing_pattern(positions):
     return [b - a for a, b in zip(positions, positions[1:])]
-
-
-class TestRoundNearest:
-    def test_plain_values(self):
-        assert round_nearest(0.75) == 1
-        assert round_nearest(1.0) == 1
-        assert round_nearest(2.25) == 2
-        assert round_nearest(2.75) == 3
-
-    def test_ties_round_down(self):
-        assert round_nearest(0.5) == 0
-        assert round_nearest(2.5) == 2
 
 
 class TestSensorArray:
@@ -121,6 +109,29 @@ class TestFognaParams:
             FognaParams.from_split(1, 1, 1)
         with pytest.raises(ValueError):
             FognaParams.from_split(5, 0, 2)
+
+    @pytest.mark.parametrize("split", [(5.5, 2, 2), (5, 2.0, 2), (5, 2, "2")])
+    def test_rejects_non_integer_counts(self, split):
+        with pytest.raises(TypeError):
+            FognaParams.from_split(*split)
+
+    def test_counts_are_python_ints(self):
+        p = FognaParams.from_split(np.int64(5), np.int32(3), np.int16(3))
+        assert all(type(v) is int for v in (p.n1, p.n2, p.n3, p.m1, p.m2, p.e1, p.e2))
+        assert p == FognaParams.from_split(5, 3, 3)
+
+    def test_m1_is_quarter_rounded_half_down(self):
+        # M1 is (N1 - 1)/4 rounded to the nearest integer, exact halves
+        # down (N1 = 3, 11, ...); the oracle rounds the exact fraction
+        def half_down(x):
+            floor = x.numerator // x.denominator
+            return floor + (x - floor > Fraction(1, 2))
+
+        assert half_down(Fraction(2, 4)) == 0 and half_down(Fraction(10, 4)) == 2
+        for n1 in range(2, 10_001):
+            p = FognaParams.from_split(n1, 1, 1)
+            assert p.m1 == half_down(Fraction(n1 - 1, 4)), n1
+            assert p.m2 == n1 - 2 * p.m1 >= 1
 
 
 class TestFogna:
@@ -209,6 +220,39 @@ class TestCompetitorDof:
             competitor_dof("FO_FRACTAL_NA", (5, 5))
         # seed 4 -> half-count 4 ≡ 1 (mod 3): integral
         assert competitor_dof("FO_FRACTAL_NA", (4, 4)) == 2 * 9 ** 2 - 1
+
+    @pytest.mark.parametrize("family,split", [
+        ("FOGNA", (5.7, 2, 2)),
+        ("FL_NA", ("3", 3, 3, 3)),
+        ("SD_FODC_NA", (2, 3, 3, 1.0)),
+        ("FO_FRACTAL_NA", (4.0, 4)),
+    ])
+    def test_rejects_non_integers(self, family, split):
+        # read through operator.index, so 5.7 is rejected, not truncated to 5
+        with pytest.raises(TypeError):
+            competitor_dof(family, split)
+
+    def test_fo_fractal_matches_fraction_form(self):
+        # the printed form evaluated in exact fractions, c_t0 = 1
+        for n_seed in range(0, 200):
+            n_g = Fraction(2 * n_seed - 1 + 1, 2)
+            m_r = Fraction(2, 3) * n_g * n_g - Fraction(2, 3) * n_g + 1
+            dof = 2 * m_r * m_r - 1
+            if dof.denominator == 1:
+                assert competitor_dof("FO_FRACTAL_NA", (n_seed, n_seed)) == dof
+            else:
+                with pytest.raises(ValueError, match=f"got {dof}\\)"):
+                    competitor_dof("FO_FRACTAL_NA", (n_seed, n_seed))
+
+    def test_sd_fodc_matches_fraction_form(self):
+        for split in product(range(-1, 7), repeat=4):
+            d_m, d_n, mu1, mu2 = split
+            val = (4 * d_m + 2) * d_n + Fraction((2 * d_m + 1) * (mu2 + 1), 2) + Fraction(mu1 - 1, 2)
+            if val.denominator == 1:
+                assert competitor_dof("SD_FODC_NA", split) == val
+            else:
+                with pytest.raises(ValueError, match=f"got {val}\\)"):
+                    competitor_dof("SD_FODC_NA", split)
 
     def test_arity_checks(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Sensor-allocation search and its closed-form helpers."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -62,11 +63,60 @@ class TestOptimize:
         assert all(scores[p.n3] >= s for n3, s in scores.items() if abs(n3 - p.n3) >= 2)
 
 
+class TestTailAllocation:
+    def test_matches_printed_forms(self):
+        # N2 = ceil((2r - 1)/4), N3 = floor((2r + 1)/4), evaluated exactly
+        for n in range(4, 400):
+            for n1 in range(2, n - 1):
+                r = n - n1
+                printed = (math.ceil(Fraction(2 * r - 1, 4)), math.floor(Fraction(2 * r + 1, 4)))
+                assert tail_allocation(n, n1) == printed
+
+    def test_rejects_non_integers(self):
+        with pytest.raises(TypeError):
+            tail_allocation(9.0, 5)
+
+
+# Exact argmax of FognaParams.dof over every split (N1 >= 2, N2, N3 >= 1) of
+# N = 4..60.  The tail allocation is the published rule, and it misses this
+# argmax at 30 of the 57 values of N.
+OPTIMIZER_MISSES = [7, 10, 13, 15, 18, 21, 23, 25, 26, 28, 29, 31, 33, 34, 36, 37, 39, 41,
+                    42, 44, 45, 47, 49, 50, 52, 53, 55, 57, 58, 60]
+
+
+def exact_argmax(n):
+    splits = ((n1, n2, n - n1 - n2) for n1 in range(2, n - 1) for n2 in range(1, n - n1))
+    return max((FognaParams.from_split(*s) for s in splits), key=lambda p: p.dof)
+
+
+class TestExactArgmax:
+    def test_misses_are_pinned(self):
+        misses = [n for n in range(4, 61) if optimize(n).dof_star < exact_argmax(n).dof]
+        assert misses == OPTIMIZER_MISSES
+        assert all(optimize(n).dof_star <= exact_argmax(n).dof for n in range(4, 61))
+
+    @pytest.mark.parametrize("n,split,dof,exact_split,exact_dof", [
+        (7, (4, 2, 1), 157, (4, 1, 2), 171),
+        (10, (5, 3, 2), 511, (5, 2, 3), 533),
+        # (12, 5, 6) is the split printed in REFERENCE_LEAKAGE at N = 23
+        (23, (11, 6, 6), 8165, (12, 5, 6), 8243),
+    ])
+    def test_miss_values(self, n, split, dof, exact_split, exact_dof):
+        p, q = optimize(n).best_params, exact_argmax(n)
+        assert ((p.n1, p.n2, p.n3), p.dof) == (split, dof)
+        assert ((q.n1, q.n2, q.n3), q.dof) == (exact_split, exact_dof)
+
+
 class TestDofQuadratic:
     def test_worked_values(self):
         assert dof_quadratic(11, 5, 3) == 715
         # direct substitution with the tail entirely in subarray 2
         assert dof_quadratic(11, 5, 0) == 181
+
+    @pytest.mark.parametrize("args", [(11, 5.0, 3), (11.0, 5, 3), (11, 5, 3.0)])
+    def test_rejects_non_integers(self, args):
+        with pytest.raises(TypeError):
+            dof_quadratic(*args)
 
     def test_identity_with_closed_form(self):
         for n in range(5, 21):
