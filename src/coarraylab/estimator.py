@@ -280,26 +280,11 @@ def subarray_length(lc: int, n_sources: int) -> int:
     return lc + 1
 
 
-# Top-D subspace iteration: extra block columns beyond D, the residual
-# tolerance and the rank threshold (both relative to the largest
-# eigenvalue), and the seed of the random start block.
+# Top-D subspace iteration: extra block columns beyond D, and the residual
+# tolerance and the rank threshold (both relative to the largest eigenvalue).
 _OVERSAMPLE = 8
 _RESIDUAL_TOL = 1e-13
 _RANK_TOL = 1e-12
-_START_SEED = 0
-
-
-@functools.lru_cache(maxsize=1)
-def _start_block(sub: int, block: int) -> np.ndarray:
-    """The read-only orthonormal start of subspace iteration: Q of a fixed-seed complex Gaussian block.
-
-    The last one is cached per process, since a sweep estimates at one
-    size and its QR costs about an iteration.
-    """
-    rng = np.random.default_rng(_START_SEED)
-    q = np.linalg.qr(rng.standard_normal((sub, block)) + 1j * rng.standard_normal((sub, block)))[0]
-    q.flags.writeable = False
-    return q
 
 
 def _signal_subspace(windows: np.ndarray, n_sources: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -308,9 +293,13 @@ def _signal_subspace(windows: np.ndarray, n_sources: int) -> Tuple[np.ndarray, n
     Returns ``(eigvals, eigvecs)`` in ascending order, as ``np.linalg.eigh``
     orders them.  Block subspace iteration with Rayleigh-Ritz (Saad,
     *Numerical Methods for Large Eigenvalue Problems*, 2011, ch. 5): a
-    block of D + 8 columns from a fixed-seed random start takes one
-    product Z = R Q = W^T conj(W conj(Q)) per iteration, two GEMMs that
-    never form R.  The Ritz pairs come from the projected matrix Q^H Z,
+    block of D + 8 columns takes one product Z = R Q = W^T conj(W conj(Q))
+    per iteration, two GEMMs that never form R.  It starts from the
+    orthonormal basis of W's own first D + 8 columns: W is Hankel, and
+    any D or more consecutive columns of the Hankel matrix of D
+    exponentials span their signal subspace (the matrix-pencil fact:
+    Hua & Sarkar, IEEE TASSP 38(5), 1990), so the start holds the signal
+    up to the noise.  The Ritz pairs come from the projected matrix Q^H Z,
     and R X = Z V gives their residuals without a second product.  The
     iteration stops once every one of the D residuals is at most 1e-13
     times the largest Ritz value.  It runs on one copy W 2^-e, with 2^e
@@ -323,20 +312,22 @@ def _signal_subspace(windows: np.ndarray, n_sources: int) -> Tuple[np.ndarray, n
     when the block is at least half the matrix, when the D-th Ritz value
     is at most 1e-12 times the largest (R has rank below D, where the
     signal subspace is not unique), and when the iteration would not
-    converge within its cap of sub/block iterations, which cost about as
-    much as the full decomposition.  From the second iteration on, the
-    largest residual's shrink factor over the last iteration predicts
-    the iterations still needed; once they pass the cap, ``eigh`` runs
-    at once.  A scene whose D-th eigenvalue lies too close to the next
-    one (40 sources at N = 9, 12 at N = 7) so pays two iterations on top
-    of the plain ``eigh``, not the whole cap.
+    converge within its cap of sub/block iterations, which cost a third
+    (N = 13, 15) to a half (N = 9) of the full decomposition.  From the
+    third iteration on, the largest residual's shrink factor over the
+    last iteration predicts the iterations still needed; once they pass
+    the cap, ``eigh`` runs at once.  The second iteration's factor reads
+    too slow on many-source scenes that converge (60 sources at N = 19).
+    A scene whose D-th eigenvalue lies too close to the next one (40
+    sources at N = 9, 12 at N = 7) so pays three iterations on top of the
+    plain ``eigh``, not the whole cap.
     """
     sub = windows.shape[1]
     block = n_sources + _OVERSAMPLE
     scaled = windows * math.ldexp(1.0, -_binary_exponent(windows))
     if 2 * block < sub:
-        q = _start_block(sub, block)
-        # sub/block iterations cost about one full eigh
+        q = np.linalg.qr(scaled[:, :block])[0]
+        # sub/block iterations cost a third to a half of the full eigh
         cap = sub // block
         for done in range(1, cap + 1):
             z = scaled.T @ np.conj(scaled @ q.conj())
@@ -349,7 +340,7 @@ def _signal_subspace(windows: np.ndarray, n_sources: int) -> Tuple[np.ndarray, n
             worst = np.max(np.linalg.norm(rx - x * theta[-n_sources:], axis=0))
             if worst <= _RESIDUAL_TOL * top:
                 return theta[-n_sources:], x
-            if done > 1:
+            if done > 2:
                 shrink = worst / last
                 if not 0 < shrink < 1:
                     break                   # the residual did not shrink
@@ -422,7 +413,7 @@ def ss_music(
 
     Es comes from ``_signal_subspace``: block subspace iteration for the
     D largest eigenpairs, two O(L^2*D) window-matrix products per
-    iteration instead of the O(L^3) covariance and ``eigh`` (6 or 7
+    iteration instead of the O(L^3) covariance and ``eigh`` (5 to 7
     iterations on the C10 scenes; 0.3 s at the 19-sensor design, L = 2186).
     Where it would not converge within its cap, or the covariance has
     rank below D, Es is the full ``eigh``'s.  ``rank_ok`` says whether the

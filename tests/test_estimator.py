@@ -636,7 +636,10 @@ class TestTopEigenpairs:
         (7, (-40.0, -5.0, 20.0, 55.0)),
         (9, TWELVE_SOURCES),
         (11, TWELVE_SOURCES),
-    ], ids=["N7", "N9", "N11"])
+        # 24 spread sources, which the start from W's own columns keeps
+        # on the iteration path
+        (11, tuple(np.linspace(-60.0, 60.0, 24))),
+    ], ids=["N7", "N9", "N11", "N11-D24"])
     def test_projector_matches_eigh(self, monkeypatch, n_sensors, truths, snr_db):
         meas = fogna_measurement(n_sensors, truths, snr_db, 14_000, seed=500)
         w = window_matrix(meas)
@@ -651,7 +654,7 @@ class TestTopEigenpairs:
         assert np.allclose(vals, want_vals[-d:], rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("case, iterations", [
-        ("rank-deficient", 1), ("predicted-past-cap", 2), ("block-half-the-matrix", 0)])
+        ("rank-deficient", 1), ("predicted-past-cap", 3), ("block-half-the-matrix", 0)])
     def test_fallback_is_eigh_bit_for_bit(self, monkeypatch, case, iterations):
         if case == "rank-deficient":
             # exact cumulants of one source asked for two: rank 1 < D
@@ -659,8 +662,8 @@ class TestTopEigenpairs:
             w, d = window_matrix(assemble_foeca(analytic_bank(arr, [10.0]), arr)), 2
         elif case == "predicted-past-cap":
             # eigenvalues decay by 3% a step: the D-th converges at
-            # (0.97^9)^k, which two iterations show to be too slow for
-            # the cap of 100 // 12 = 8 iterations
+            # (0.97^9)^k, which the third iteration shows to be too slow
+            # for the cap of 100 // 12 = 8 iterations
             w, d = windows_with_spectrum(0.97 ** np.arange(100.0), seed=3), 4
         else:
             # a block of D + 8 = 25 columns is half of the 50 x 50 matrix
@@ -677,8 +680,8 @@ class TestTopEigenpairs:
         *[(7, 12, 5.0, 14_000, seed) for seed in range(4)],
         (9, 40, 0.0, 10_000, 2),
     ], ids=["N7-D12-seed0", "N7-D12-seed1", "N7-D12-seed2", "N7-D12-seed3", "C09"])
-    def test_close_gap_scene_falls_back_after_two_iterations(self, monkeypatch, n_sensors,
-                                                             n_sources, snr_db, n_snapshots, seed):
+    def test_close_gap_scene_falls_back_after_three_iterations(self, monkeypatch, n_sensors,
+                                                               n_sources, snr_db, n_snapshots, seed):
         # the D-th eigenvalue lies too close to the first one outside the
         # block to converge within the cap (4 iterations at both sizes)
         truths = tuple(np.linspace(-60.0, 60.0, n_sources))
@@ -686,9 +689,21 @@ class TestTopEigenpairs:
         want_vals, want_vecs = np.linalg.eigh(scaled_gram(w))
         sizes = eigh_sizes(monkeypatch)
         vals, vecs = estimator._signal_subspace(w, n_sources)
-        assert sizes == [n_sources + 8] * 2 + [w.shape[1]]
+        assert sizes == [n_sources + 8] * 3 + [w.shape[1]]
         assert np.array_equal(vals, want_vals[-n_sources:])
         assert np.array_equal(vecs, want_vecs[:, -n_sources:])
+
+    def test_nineteen_sensor_many_source_scene_iterates(self, monkeypatch):
+        # 60 sources over +-60 degrees at the 19-sensor design (sub = 2187,
+        # a block of 68, a cap of 32): the iteration converges in 19 steps,
+        # but the second one's shrink factor predicts more than the cap
+        truths = tuple(np.linspace(-60.0, 60.0, 60))
+        meas = fogna_measurement(19, truths, 5.0, 14_000, seed=0)
+        sizes = eigh_sizes(monkeypatch)
+        est = ss_music(meas, 60, grid_step_deg=0.05)
+        assert 2187 not in sizes, "the scene fell back to the full eigh"
+        # measured: 60 angles, the farthest 0.017 degrees off
+        assert np.max(np.abs(match_nearest(est.angles_deg, truths))) <= 0.03
 
     @pytest.mark.parametrize("power", [-900, -560, 560, 900])
     def test_power_of_two_scaling_is_exact(self, monkeypatch, power):
