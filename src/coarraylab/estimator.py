@@ -17,15 +17,17 @@ Each estimate does only the linear algebra it uses.  The cumulants sum
 each distinct fourth moment once, and every second moment, in one
 single-precision GEMM per block of snapshots whose sums are kept in
 double, and MUSIC computes only the D largest eigenpairs of the smoothed
-covariance, by subspace iteration on the co-array window matrix that
-never forms the covariance, or by a full ``eigh`` where that would not
-converge within its cap or the covariance has rank below D.
+covariance T^2/(L+1), T the Hermitian Toeplitz matrix of the lags 0..L,
+by subspace iteration with T that never forms the covariance, or by a
+full ``eigh`` of T where that would not converge within its cap or the
+covariance has rank below D.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -288,49 +290,55 @@ _RANK_TOL = 1e-12
 
 
 def _signal_subspace(windows: np.ndarray, n_sources: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The ``n_sources`` largest eigenpairs of R = W^T conj(W), W the matrix ``windows``.
+    """The ``n_sources`` largest eigenpairs of R = T^2, T = W J the ``windows`` W with columns reversed.
 
-    Returns ``(eigvals, eigvecs)`` in ascending order, as ``np.linalg.eigh``
-    orders them.  Block subspace iteration with Rayleigh-Ritz (Saad,
-    *Numerical Methods for Large Eigenvalue Problems*, 2011, ch. 5): a
-    block of D + 8 columns takes one product Z = R Q = W^T conj(W conj(Q))
-    per iteration, two GEMMs that never form R.  It starts from the
-    orthonormal basis of W's own first D + 8 columns: W is Hankel, and
-    any D or more consecutive columns of the Hankel matrix of D
-    exponentials span their signal subspace (the matrix-pencil fact:
-    Hua & Sarkar, IEEE TASSP 38(5), 1990), so the start holds the signal
-    up to the noise.  The Ritz pairs come from the projected matrix Q^H Z,
-    and R X = Z V gives their residuals without a second product.  The
-    iteration stops once every one of the D residuals is at most 1e-13
-    times the largest Ritz value.  It runs on one copy W 2^-e, with 2^e
-    just above W's largest real or imaginary part, so no stage overflows
-    or underflows while W is finite; in the normal range a power of two
-    commutes with rounding, so the eigenvectors do not depend on W's
-    scale.  The eigenvalues returned are those of R 2^-2e.
+    W is the Hankel window matrix of a conjugate-symmetric lag vector, so
+    T is the Hermitian Toeplitz matrix of lags 0..L, and T^2 = W^T conj(W)
+    is the smoothed covariance times L+1 (Pal & Vaidyanathan, IEEE TSP
+    58(8), 2010).  Returns ``(eigvals, eigvecs)`` in ascending order, as
+    ``np.linalg.eigh`` orders them.  Everything runs on one contiguous
+    copy T 2^-e, with 2^e just above W's largest real or imaginary part,
+    so no stage overflows or underflows while W is finite; in the normal
+    range a power of two commutes with rounding, so the eigenvectors do
+    not depend on W's scale.  The eigenvalues returned are those of
+    T^2 2^-2e.
 
-    ``np.linalg.eigh`` of the scaled R, formed only then, answers instead
-    when the block is at least half the matrix, when the D-th Ritz value
-    is at most 1e-12 times the largest (R has rank below D, where the
-    signal subspace is not unique), and when the iteration would not
-    converge within its cap of sub/block iterations, which cost a third
-    (N = 13, 15) to a half (N = 9) of the full decomposition.  From the
-    third iteration on, the largest residual's shrink factor over the
-    last iteration predicts the iterations still needed; once they pass
-    the cap, ``eigh`` runs at once.  The second iteration's factor reads
-    too slow on many-source scenes that converge (60 sources at N = 19).
-    A scene whose D-th eigenvalue lies too close to the next one (40
-    sources at N = 9, 12 at N = 7) so pays three iterations on top of the
-    plain ``eigh``, not the whole cap.
+    Block subspace iteration with Rayleigh-Ritz (Saad, *Numerical
+    Methods for Large Eigenvalue Problems*, 2011, ch. 5): a block of
+    D + 8 columns takes one product Z = T (T Q) per iteration, two GEMMs
+    that never form R.  It starts from the orthonormal basis of W's own
+    first D + 8 columns: W is Hankel, and any D or more consecutive
+    columns of the Hankel matrix of D exponentials span their signal
+    subspace (the matrix-pencil fact: Hua & Sarkar, IEEE TASSP 38(5),
+    1990), so the start holds the signal up to the noise.  The Ritz
+    pairs come from the projected matrix Q^H Z, and R X = Z V gives their
+    residuals without a second product.  The iteration stops once every
+    one of the D residuals is at most 1e-13 times the largest Ritz value.
+
+    ``np.linalg.eigh`` of the scaled T answers instead, keeping the D
+    eigenpairs of largest |lambda| and returning lambda^2, when the block
+    is at least half the matrix, when the D-th Ritz value is at most
+    1e-12 times the largest (R has rank below D, where the signal
+    subspace is not unique), and when the iteration would not converge
+    within its cap of sub/block iterations, which cost a third (N = 13,
+    15) to a half (N = 9) of the full decomposition.  From the third
+    iteration on, the largest residual's shrink factor over the last
+    iteration predicts the iterations still needed; once they pass the
+    cap, ``eigh`` runs at once.  The second iteration's factor reads too
+    slow on many-source scenes that converge (60 sources at N = 19).  A
+    scene whose D-th eigenvalue lies too close to the next one (40
+    sources at N = 9, 12 at N = 7) so pays three iterations on top of
+    the plain ``eigh``, not the whole cap.
     """
     sub = windows.shape[1]
     block = n_sources + _OVERSAMPLE
-    scaled = windows * math.ldexp(1.0, -_binary_exponent(windows))
+    t = windows[:, ::-1] * math.ldexp(1.0, -_binary_exponent(windows))
     if 2 * block < sub:
-        q = np.linalg.qr(scaled[:, :block])[0]
+        q = np.linalg.qr(t[:, ::-1][:, :block])[0]   # W's first D + 8 columns
         # sub/block iterations cost a third to a half of the full eigh
         cap = sub // block
         for done in range(1, cap + 1):
-            z = scaled.T @ np.conj(scaled @ q.conj())
+            z = t @ (t @ q)
             theta, v = np.linalg.eigh(q.conj().T @ z)
             top = theta[-1]
             if not theta[-n_sources] > max(_RANK_TOL * top, 0.0):
@@ -348,8 +356,9 @@ def _signal_subspace(windows: np.ndarray, n_sources: int) -> Tuple[np.ndarray, n
                     break                   # the iterations still needed pass the cap
             last = worst
             q = np.linalg.qr(z)[0]
-    eigvals, eigvecs = np.linalg.eigh(scaled.T @ scaled.conj())
-    return eigvals[sub - n_sources:], eigvecs[:, sub - n_sources:]
+    eigvals, eigvecs = np.linalg.eigh(t)
+    kept = np.argsort(np.abs(eigvals), kind="stable")[sub - n_sources:]
+    return eigvals[kept] ** 2, eigvecs[:, kept]
 
 
 def _signal_polynomial(signal: np.ndarray, powers: np.ndarray) -> np.ndarray:
@@ -390,15 +399,20 @@ def ss_music(
     """Spatial-smoothing MUSIC over ``assemble_foeca``'s vector of lags -Lc..Lc.
 
     Lc is the vector's length // 2, and input that is not a 1-D vector of
-    odd length raises ``ValueError``.  It is cut into its Lc+1 overlapping
-    subvectors of length Lc+1 (``subarray_length``), which fixes the
-    resolvable-source capacity at Lc; the mean of their outer products
-    is the smoothed covariance, which the eigensolver applies through
-    their window (Hankel) matrix without forming it, so memory stays
-    O(L^2 + sqrt(L)*G) for G grid points.  A measurement that is not
-    finite (the double-precision moments overflow below about -1523 dB
-    SNR) gets no eigensolve: its estimate has no angles, a NaN spectrum
-    and ``rank_ok`` false.
+    odd length raises ``ValueError``; ``n_sources`` is read through
+    ``operator.index``, so a non-integer raises ``TypeError``.  The vector
+    is cut into its Lc+1 overlapping subvectors of length Lc+1
+    (``subarray_length``), which fixes the resolvable-source capacity at
+    Lc; the mean of their outer products is the smoothed covariance
+    T^2/(Lc+1), T the Hermitian Toeplitz matrix of lags 0..Lc, which the
+    eigensolver applies as T (T Q) without forming it, so memory stays
+    O(L^2 + sqrt(L)*G) for G grid points.  That identity needs
+    value(-m) = conj(value(m)) exactly, as ``assemble_foeca`` returns the
+    vector, so a finite vector without that symmetry raises
+    ``ValueError``.  A measurement that is not finite (the
+    double-precision moments overflow below about -1523 dB SNR) gets no
+    eigensolve: its estimate has no angles, a NaN spectrum and
+    ``rank_ok`` false.
 
     The MUSIC pseudo-spectrum is 1 / |En^H a|^2 over the noise subspace
     En.  With unit-modulus steering |a|^2 = sub, so the scan computes
@@ -412,12 +426,13 @@ def ss_music(
     cumulants cancel it.
 
     Es comes from ``_signal_subspace``: block subspace iteration for the
-    D largest eigenpairs, two O(L^2*D) window-matrix products per
-    iteration instead of the O(L^3) covariance and ``eigh`` (5 to 7
-    iterations on the C10 scenes; 0.3 s at the 19-sensor design, L = 2186).
-    Where it would not converge within its cap, or the covariance has
-    rank below D, Es is the full ``eigh``'s.  ``rank_ok`` says whether the
-    D-th largest eigenvalue exceeds 1e-12 times the largest.
+    D largest eigenpairs, two O(L^2*D) products with T per iteration
+    instead of the O(L^3) covariance and ``eigh`` (5 to 7 iterations on
+    the C10 scenes; 0.3 s at the 19-sensor design, L = 2186).  Where it
+    would not converge within its cap, or the covariance has rank below
+    D, Es holds the eigenvectors of the D largest |eigenvalues| of the
+    full ``eigh`` of T.  ``rank_ok`` says whether the D-th largest
+    eigenvalue of T^2 exceeds 1e-12 times the largest.
 
     Returns the ``n_sources`` largest well-separated spectrum peaks,
     parabolic-refined off the grid; fewer when the spectrum has fewer
@@ -428,6 +443,7 @@ def ss_music(
     per-process cache of ``steering_grid``, so a sweep at one setting
     builds them once.
     """
+    n_sources = operator.index(n_sources)
     if n_sources < 1:
         raise ValueError("need at least one source")
     if not (math.isfinite(min_peak_sep_deg) and min_peak_sep_deg >= 0):
@@ -439,6 +455,9 @@ def ss_music(
     grid_deg, steering = steering_grid(sub, grid_step_deg)
     if not np.all(np.isfinite(values)):
         return DoaEstimate(np.empty(0), grid_deg, np.full(grid_deg.size, np.nan), rank_ok=False)
+    if not np.array_equal(values, values[::-1].conj()):
+        raise ValueError("values must be conjugate-symmetric, value(-m) = conj(value(m)), "
+                         "as assemble_foeca returns them")
     windows = np.lib.stride_tricks.sliding_window_view(values, sub)
     eigvals, signal = _signal_subspace(windows, n_sources)
     denom = (sub - n_sources) - 2 * _signal_polynomial(signal, steering)

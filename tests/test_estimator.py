@@ -15,6 +15,7 @@ import pytest
 
 from coarraylab import estimator
 from coarraylab.coarray import analyze_segment, case_virtual_positions, foeca
+from coarraylab.coupling import coupling_matrix
 from coarraylab.estimator import (
     CumulantBank,
     assemble_foeca,
@@ -25,7 +26,7 @@ from coarraylab.estimator import (
 )
 from coarraylab.geometry import SensorArray, build_fogna
 from coarraylab.optimizer import optimize
-from coarraylab.signalsim import SourceScene, manifold, simulate
+from coarraylab.signalsim import SourceScene, manifold, simulate, simulate_sweep
 
 # the sign of each index's position in the virtual lag of each case
 CASE_SIGNS = {
@@ -106,11 +107,23 @@ def scaled_windows(windows):
 def scaled_gram(windows):
     """W^T conj(W) of ``scaled_windows(W)``.
 
-    ``_signal_subspace`` returns eigenpairs of this matrix, and its
-    ``eigh`` fallback decomposes it as formed here, bit for bit.
+    For the window matrix of a conjugate-symmetric vector it is T^2, T the
+    scaled W with its columns reversed, whose eigenpairs ``_signal_subspace``
+    returns; formed here as the Gram product, it is their independent oracle.
     """
     scaled = scaled_windows(windows)
     return scaled.T @ scaled.conj()
+
+
+def fallback_eigenpairs(windows, n_sources):
+    """``_signal_subspace``'s ``eigh`` fallback, bit for bit.
+
+    ``eigh`` of the scaled T = W J, the eigenpairs of its ``n_sources``
+    largest |lambda|, in ascending order of lambda^2, and those squares.
+    """
+    vals, vecs = np.linalg.eigh(scaled_windows(windows)[:, ::-1])
+    kept = np.argsort(np.abs(vals), kind="stable")[-n_sources:]
+    return vals[kept] ** 2, vecs[:, kept]
 
 
 def iterated_signal_subspace(windows, n_sources):
@@ -470,6 +483,24 @@ class TestAssemble:
         meas = assemble_foeca(sample_cumulants(snap), arr)
         assert np.allclose(meas, meas[::-1].conj())
 
+    @pytest.mark.parametrize("bank_kind", ["noisy", "coupling", "analytic"])
+    @pytest.mark.parametrize("n", range(4, 20))
+    def test_window_matrix_reversed_is_exactly_hermitian(self, n, bank_kind):
+        # ss_music's eigensolver reads T = W J, the Hermitian Toeplitz
+        # matrix of lags 0..Lc, and eigh reads only one triangle of it
+        arr = build_fogna(optimize(n).best_params)
+        truths = (-40.0, 5.0, 33.0)
+        if bank_kind == "analytic":
+            bank = analytic_bank(arr, truths)
+        else:
+            coupling = coupling_matrix(arr) if bank_kind == "coupling" else None
+            (_, snap), = simulate_sweep(arr, SourceScene(truths, seed=n), [0.0], [256], coupling)
+            bank = sample_cumulants(snap)
+        meas = assemble_foeca(bank, arr)
+        assert np.array_equal(meas, meas[::-1].conj())
+        t = window_matrix(meas)[:, ::-1]
+        assert np.array_equal(t, t.conj().T)
+
 
 class TestSsMusic:
     def test_single_source_on_grid(self):
@@ -501,6 +532,37 @@ class TestSsMusic:
     def test_rejects_input_that_is_not_an_odd_length_vector(self, shape):
         with pytest.raises(ValueError, match="1-D vector of odd length"):
             ss_music(np.ones(shape, dtype=complex), 1)
+
+    @pytest.mark.parametrize("n_sources", [2.0, np.float64(2.0), 1.5],
+                             ids=["float", "numpy-float", "fraction"])
+    def test_rejects_a_non_integer_source_count(self, monkeypatch, n_sources):
+        arr = SensorArray((0, 1, 2, 5, 8))
+        meas = assemble_foeca(analytic_bank(arr, [-12.0, 10.0]), arr)
+
+        def no_work(*args):
+            raise AssertionError("work before the source count was read")
+        monkeypatch.setattr(estimator, "steering_grid", no_work)
+        monkeypatch.setattr(estimator, "_signal_subspace", no_work)
+        with pytest.raises(TypeError, match="integer"):
+            ss_music(meas, n_sources)
+
+    @pytest.mark.parametrize("entry", ["edge-real", "center-imag"])
+    def test_rejects_a_vector_that_is_not_conjugate_symmetric(self, monkeypatch, entry):
+        # the eigensolver relies on value(-m) = conj(value(m)) holding exactly:
+        # one entry nudged by one unit in the last place breaks it
+        arr = build_fogna(optimize(7).best_params)
+        meas = assemble_foeca(analytic_bank(arr, [-12.0, 10.0]), arr)
+        if entry == "edge-real":
+            meas[0] = complex(np.nextafter(meas[0].real, np.inf), meas[0].imag)
+        else:
+            center = meas.size // 2
+            meas[center] = complex(meas[center].real, np.nextafter(0.0, 1.0))
+
+        def no_eigensolve(*args):
+            raise AssertionError("eigensolve of a vector that is not conjugate-symmetric")
+        monkeypatch.setattr(estimator, "_signal_subspace", no_eigensolve)
+        with pytest.raises(ValueError, match="conjugate-symmetric"):
+            ss_music(meas, 2)
 
     def test_two_close_sources_match_physical_ula(self):
         # dual route: the 7-sensor design's virtual subarray has Lc+1 = 89
@@ -621,11 +683,16 @@ def eigh_sizes(monkeypatch):
 
 
 def windows_with_spectrum(eigvals, seed):
-    """W = (U sqrt(eigvals))^T for a random unitary U, so that W^T conj(W) = U diag(eigvals) U^H."""
+    """W = T J for T = U diag(eigvals) U^H, U random unitary: W J = T is Hermitian with spectrum eigvals."""
     rng = np.random.default_rng(seed)
     n = len(eigvals)
     u = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
-    return (u * np.sqrt(eigvals)).T
+    return ((u * eigvals) @ u.conj().T)[:, ::-1]
+
+
+def signed_roots(eigvals):
+    """+-sqrt(eigvals) with alternating signs: a spectrum of T whose squares, R's, are eigvals."""
+    return np.sqrt(eigvals) * (-1.0) ** np.arange(len(eigvals))
 
 
 class TestTopEigenpairs:
@@ -661,20 +728,20 @@ class TestTopEigenpairs:
             arr = SensorArray((0, 1, 2, 5, 8))
             w, d = window_matrix(assemble_foeca(analytic_bank(arr, [10.0]), arr)), 2
         elif case == "predicted-past-cap":
-            # eigenvalues decay by 3% a step: the D-th converges at
+            # R's eigenvalues decay by 3% a step: the D-th converges at
             # (0.97^9)^k, which the third iteration shows to be too slow
             # for the cap of 100 // 12 = 8 iterations
-            w, d = windows_with_spectrum(0.97 ** np.arange(100.0), seed=3), 4
+            w, d = windows_with_spectrum(signed_roots(0.97 ** np.arange(100.0)), seed=3), 4
         else:
             # a block of D + 8 = 25 columns is half of the 50 x 50 matrix
-            w, d = windows_with_spectrum(0.5 ** np.arange(50.0), seed=4), 17
-        want_vals, want_vecs = np.linalg.eigh(scaled_gram(w))
+            w, d = windows_with_spectrum(signed_roots(0.5 ** np.arange(50.0)), seed=4), 17
+        want_vals, want_vecs = fallback_eigenpairs(w, d)
         sizes = eigh_sizes(monkeypatch)
         vals, vecs = estimator._signal_subspace(w, d)
         # one projected (D + 8)-square eigh per iteration, then the full one
         assert sizes == [d + 8] * iterations + [w.shape[1]]
-        assert np.array_equal(vals, want_vals[-d:])
-        assert np.array_equal(vecs, want_vecs[:, -d:])
+        assert np.array_equal(vals, want_vals)
+        assert np.array_equal(vecs, want_vecs)
 
     @pytest.mark.parametrize("n_sensors, n_sources, snr_db, n_snapshots, seed", [
         *[(7, 12, 5.0, 14_000, seed) for seed in range(4)],
@@ -686,12 +753,16 @@ class TestTopEigenpairs:
         # block to converge within the cap (4 iterations at both sizes)
         truths = tuple(np.linspace(-60.0, 60.0, n_sources))
         w = window_matrix(fogna_measurement(n_sensors, truths, snr_db, n_snapshots, seed))
-        want_vals, want_vecs = np.linalg.eigh(scaled_gram(w))
+        want_vals, want_vecs = fallback_eigenpairs(w, n_sources)
+        gram_vals, gram_vecs = np.linalg.eigh(scaled_gram(w))
         sizes = eigh_sizes(monkeypatch)
         vals, vecs = estimator._signal_subspace(w, n_sources)
         assert sizes == [n_sources + 8] * 3 + [w.shape[1]]
-        assert np.array_equal(vals, want_vals[-n_sources:])
-        assert np.array_equal(vecs, want_vecs[:, -n_sources:])
+        assert np.array_equal(vals, want_vals)
+        assert np.array_equal(vecs, want_vecs)
+        # T^2 is the Gram product: measured within 5e-15 of its eigenpairs
+        assert projector_distance(vecs, gram_vecs[:, -n_sources:]) <= 1e-12
+        assert np.max(np.abs(vals - gram_vals[-n_sources:])) <= 1e-13 * gram_vals[-1]
 
     def test_nineteen_sensor_many_source_scene_iterates(self, monkeypatch):
         # 60 sources over +-60 degrees at the 19-sensor design (sub = 2187,
