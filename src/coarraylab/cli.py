@@ -505,10 +505,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         argv = _expand_config(argv)
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        # flushed here, so a reader that closed stdout early is caught below
+        sys.stdout.flush()
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull so that the flush at
+        # exit does not fail again (the recipe of Python's signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -289,28 +289,28 @@ _RESIDUAL_TOL = 1e-13
 _RANK_TOL = 1e-12
 
 
-def _signal_subspace(windows: np.ndarray, n_sources: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The ``n_sources`` largest eigenpairs of R = T^2, T = W J the ``windows`` W with columns reversed.
+def _signal_subspace(values: np.ndarray, n_sources: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The ``n_sources`` largest eigenpairs of R = T^2, T the Hermitian Toeplitz matrix of ``values``.
 
-    W is the Hankel window matrix of a conjugate-symmetric lag vector, so
-    T is the Hermitian Toeplitz matrix of lags 0..L, and T^2 = W^T conj(W)
-    is the smoothed covariance times L+1 (Pal & Vaidyanathan, IEEE TSP
-    58(8), 2010).  Returns ``(eigvals, eigvecs)`` in ascending order, as
-    ``np.linalg.eigh`` orders them.  Everything runs on one contiguous
-    copy T 2^-e, with 2^e just above W's largest real or imaginary part,
-    so no stage overflows or underflows while W is finite; in the normal
-    range a power of two commutes with rounding, so the eigenvectors do
-    not depend on W's scale.  The eigenvalues returned are those of
-    T^2 2^-2e.
+    ``values`` is a conjugate-symmetric vector of lags -L..L, as
+    ``ss_music`` has checked it, and T[i, j] is its lag i - j for i, j in
+    0..L, so T^2 is the smoothed covariance times L+1 (Pal & Vaidyanathan,
+    IEEE TSP 58(8), 2010).  Returns ``(eigvals, eigvecs)`` in ascending
+    order, as ``np.linalg.eigh`` orders them.  T is built once, as one
+    contiguous copy of the vector scaled by 2^-e, with 2^e just above its
+    largest real or imaginary part, so no stage overflows or underflows
+    while the vector is finite; in the normal range a power of two
+    commutes with rounding, so the eigenvectors do not depend on the
+    vector's scale.  The eigenvalues returned are those of T^2 2^-2e.
 
     Block subspace iteration with Rayleigh-Ritz (Saad, *Numerical
     Methods for Large Eigenvalue Problems*, 2011, ch. 5): a block of
     D + 8 columns takes one product Z = T (T Q) per iteration, two GEMMs
-    that never form R.  It starts from the orthonormal basis of W's own
-    first D + 8 columns: W is Hankel, and any D or more consecutive
-    columns of the Hankel matrix of D exponentials span their signal
-    subspace (the matrix-pencil fact: Hua & Sarkar, IEEE TASSP 38(5),
-    1990), so the start holds the signal up to the noise.  The Ritz
+    that never form R.  It starts from the orthonormal basis of the first
+    D + 8 columns of W = T J, the Hankel window matrix: any D or more
+    consecutive columns of the Hankel matrix of D exponentials span their
+    signal subspace (the matrix-pencil fact: Hua & Sarkar, IEEE TASSP
+    38(5), 1990), so the start holds the signal up to the noise.  The Ritz
     pairs come from the projected matrix Q^H Z, and R X = Z V gives their
     residuals without a second product.  The iteration stops once every
     one of the D residuals is at most 1e-13 times the largest Ritz value.
@@ -330,9 +330,10 @@ def _signal_subspace(windows: np.ndarray, n_sources: int) -> Tuple[np.ndarray, n
     sources at N = 9, 12 at N = 7) so pays three iterations on top of
     the plain ``eigh``, not the whole cap.
     """
-    sub = windows.shape[1]
+    sub = values.size // 2 + 1
     block = n_sources + _OVERSAMPLE
-    t = windows[:, ::-1] * math.ldexp(1.0, -_binary_exponent(windows))
+    scaled = values[::-1] * math.ldexp(1.0, -_binary_exponent(values))
+    t = np.lib.stride_tricks.sliding_window_view(scaled, sub)[::-1].copy()
     if 2 * block < sub:
         q = np.linalg.qr(t[:, ::-1][:, :block])[0]   # W's first D + 8 columns
         # sub/block iterations cost a third to a half of the full eigh
@@ -405,7 +406,7 @@ def ss_music(
     (``subarray_length``), which fixes the resolvable-source capacity at
     Lc; the mean of their outer products is the smoothed covariance
     T^2/(Lc+1), T the Hermitian Toeplitz matrix of lags 0..Lc, which the
-    eigensolver applies as T (T Q) without forming it, so memory stays
+    eigensolver builds from the vector and applies as T (T Q), so memory stays
     O(L^2 + sqrt(L)*G) for G grid points.  That identity needs
     value(-m) = conj(value(m)) exactly, as ``assemble_foeca`` returns the
     vector, so a finite vector without that symmetry raises
@@ -458,8 +459,7 @@ def ss_music(
     if not np.array_equal(values, values[::-1].conj()):
         raise ValueError("values must be conjugate-symmetric, value(-m) = conj(value(m)), "
                          "as assemble_foeca returns them")
-    windows = np.lib.stride_tricks.sliding_window_view(values, sub)
-    eigvals, signal = _signal_subspace(windows, n_sources)
+    eigvals, signal = _signal_subspace(values, n_sources)
     denom = (sub - n_sources) - 2 * _signal_polynomial(signal, steering)
     spec = 1.0 / np.maximum(denom, sub * np.finfo(float).eps)
     min_sep_cells = max(1, round(min(min_peak_sep_deg / grid_step_deg, grid_deg.size)))

@@ -29,6 +29,13 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def package_env():
+    """The environment with this package's source directory first on PYTHONPATH."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [os.path.dirname(os.path.dirname(cli.__file__)),
+                      os.environ.get("PYTHONPATH")])))
+
+
 @pytest.mark.parametrize("command, shared", [
     ([], []),
     (["design"], ["--out-dir"]),
@@ -121,6 +128,20 @@ class TestCoarray:
         code, _, err = run(capsys, "coarray", "--positions", "3,1")
         assert code == 2
 
+    def test_reader_closing_stdout_early_is_a_quiet_exit(self):
+        # the report is about 195 kB, far more than a pipe holds, so the
+        # print is still writing when the reader closes its end
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "coarraylab.cli", "coarray", "--fogna", "19",
+             "--which", "foeca", "--entries"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=package_env())
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 1
+        assert err == b""
+
 
 class TestTables:
     def test_dof_table(self, capsys, tmp_path):
@@ -179,8 +200,16 @@ class TestTables:
      "7b8934db3d24547d70d565789174b83aed9d222c7d6e8fc5509f79a842efdb7c"),
     (["dof-table", *map(str, range(4, 41))], "dof_table.csv",
      "d447443e17334119f87efcfa1ac2f5d368be51b1d725a6ca070de95cada57240"),
+    # N = 7's exact-argmax split, and the other geometry readers
+    (["coarray", "--split", "4,1,2", "--which", "foeca"], None,
+     "7d3b70497b86376318a8ce6f2fe67cc7f99f2241a43332b8d4ff1086d1ae4f88"),
+    (["coarray", "--cna", "2,3", "--which", "sca", "dca"], None,
+     "8f7318c78dcfebf1342dce57a4852f99cb5d1ec6974d140e74a10e47b5896984"),
+    (["coarray", "--nested", "3,3", "--which", "dca", "foeca"], None,
+     "0d82bac02fbbf9d505b4bf6a385d8389164366df31aead8145c47e238e74dd58"),
 ], ids=["coarray-stdout", "coupling-table", "coupling-table-40", "dof-table", "coarray-40-out",
-        "design-4", "design-40", "dof-table-4-40"])
+        "design-4", "design-40", "dof-table-4-40", "coarray-split", "coarray-cna",
+        "coarray-nested"])
 def test_output_digest_is_pinned(capsys, tmp_path, argv, output, digest):
     if output is not None:
         # coarray writes one file, the table commands a directory
@@ -303,11 +332,8 @@ class TestExperiments:
                 "           '--snapshots-list', '1500', '--grid-step', '1.2', '--trials', '2',\n"
                 f"           '--jobs', '1', '--seed', '7', '--out-dir', {str(tmp_path)!r}])\n"
                 "print(rc, 'concurrent.futures.process' in sys.modules)\n")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [os.path.dirname(os.path.dirname(cli.__file__)),
-                          os.environ.get("PYTHONPATH")])))
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=env, timeout=120)
+                              env=package_env(), timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "0 False"
 
@@ -600,13 +626,16 @@ def test_malformed_list_names_its_flag(capsys, tmp_path, argv, message):
      "Not a directory"),
     (["design", "9", "--out-dir", "{tmp}/file/x"], "{tmp}/file/x", "Not a directory"),
     ([*TestSweepValidation.RMSE, "--out-dir", "{tmp}/file/x"], "{tmp}/file/x", "Not a directory"),
-], ids=["coarray-out", "design-out-dir", "rmse-out-dir"])
+    (["design", "9", "--out-dir", "{tmp}/d"], "{tmp}/d/design_trace_N9.csv", "Is a directory"),
+], ids=["coarray-out", "design-out-dir", "rmse-out-dir", "design-out-file"])
 def test_unwritable_output_path_is_rejected(capsys, tmp_path, argv, target, reason):
     (tmp_path / "file").write_text("")
+    (tmp_path / "d" / "design_trace_N9.csv").mkdir(parents=True)
     code, out, err = run(capsys, *(a.replace("{tmp}", str(tmp_path)) for a in argv))
     assert code == 2
     assert err == f"error: {target.replace('{tmp}', str(tmp_path))}: {reason}\n"
-    assert out == "" and sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+    assert out == "" and sorted(p.name for p in tmp_path.iterdir()) == ["d", "file"]
+    assert [p.name for p in (tmp_path / "d").iterdir()] == ["design_trace_N9.csv"]
 
 
 def test_coarray_out_creates_missing_directory(capsys, tmp_path):
@@ -667,6 +696,29 @@ class TestConfig:
         assert exit_info.value.code == 2
         assert capsys.readouterr().out == ""
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("value", ["true", "false"])
+    def test_boolean_config_line_is_the_bare_flag_or_nothing(self, capsys, tmp_path, value):
+        # a small coupled sweep: coupling = true writes --coupling's files,
+        # coupling = false the files of a run without the flag
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"coupling = {value}\n")
+        flag = ["--coupling"] if value == "true" else []
+        runs = []
+        for form in (["--config", str(cfg)], flag):
+            out_dir = tmp_path / f"run{len(runs)}"
+            code, _, _ = run(capsys, *TestSweepValidation.RMSE, "--grid-step", "1.2", *form,
+                             "--out-dir", str(out_dir))
+            assert code == 0
+            runs.append({p.name: p.read_bytes() for p in out_dir.iterdir()})
+        assert sorted(runs[0]) == ["rmse_results.csv", "rmse_trials.jsonl"]
+        assert runs[0] == runs[1]
+
+    def test_trailing_config_needs_a_path(self, capsys, tmp_path):
+        code, out, err = run(capsys, "design", "9", "--out-dir", str(tmp_path / "out"), "--config")
+        assert code == 2
+        assert err == "error: --config needs a file path\n"
+        assert out == "" and not (tmp_path / "out").exists()
 
     def test_missing_config_file_is_rejected(self, capsys, tmp_path):
         code, out, err = run(capsys, "design", "9", "--config", str(tmp_path / "missing.cfg"),

@@ -257,6 +257,10 @@ class TestLagCounts:
         assert m.counts[22 - m.lo] == 0
         with pytest.raises(ValueError):
             m.counts[0] = 7
+        # counts given with zero ends are trimmed to the lags they hold
+        m = LagCounts(-2, np.array([0, 1, 2, 1, 0, 0]))
+        assert m.lo == -1 and m.counts.tolist() == [1, 2, 1]
+        assert m.items() == [(-1, 1), (0, 2), (1, 1)]
 
     @pytest.mark.parametrize("lag", [22, -22, 25, -25, 10**6, "0"])
     def test_absent_lag_raises_key_error(self, lag):

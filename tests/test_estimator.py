@@ -115,13 +115,14 @@ def scaled_gram(windows):
     return scaled.T @ scaled.conj()
 
 
-def fallback_eigenpairs(windows, n_sources):
-    """``_signal_subspace``'s ``eigh`` fallback, bit for bit.
+def fallback_eigenpairs(values, n_sources):
+    """``_signal_subspace``'s ``eigh`` fallback on the lag vector ``values``, bit for bit.
 
-    ``eigh`` of the scaled T = W J, the eigenpairs of its ``n_sources``
-    largest |lambda|, in ascending order of lambda^2, and those squares.
+    ``eigh`` of the scaled T = W J, W the vector's window matrix, the
+    eigenpairs of its ``n_sources`` largest |lambda|, in ascending order
+    of lambda^2, and those squares.
     """
-    vals, vecs = np.linalg.eigh(scaled_windows(windows)[:, ::-1])
+    vals, vecs = np.linalg.eigh(scaled_windows(window_matrix(values))[:, ::-1])
     kept = np.argsort(np.abs(vals), kind="stable")[-n_sources:]
     return vals[kept] ** 2, vecs[:, kept]
 
@@ -477,6 +478,11 @@ class TestAssemble:
         with pytest.raises(ValueError, match=rf"lc must lie in \[0, {measured}\]"):
             assemble_foeca(analytic_bank(arr, [10.0]), arr, lc=lc_of(measured))
 
+    def test_rejects_a_bank_of_another_sensor_count(self):
+        bank = analytic_bank(build_fogna((4, 2, 1)), [10.0])
+        with pytest.raises(ValueError, match="cumulant bank and array sensor counts differ"):
+            assemble_foeca(bank, build_fogna((5, 2, 2)))
+
     def test_conjugate_symmetry_enforced(self):
         arr = build_fogna((4, 2, 1))
         snap = simulate(arr, SourceScene((-15.0, 40.0), seed=12), 0.0, 2000)
@@ -527,6 +533,8 @@ class TestSsMusic:
         meas = assemble_foeca(analytic_bank(arr, [0.0]), arr)
         with pytest.raises(ValueError):
             ss_music(meas, meas.size // 2 + 1)
+        with pytest.raises(ValueError, match="need at least one source"):
+            ss_music(meas, 0)
 
     @pytest.mark.parametrize("shape", [(2, 25), (24,)], ids=["2-D", "even-length"])
     def test_rejects_input_that_is_not_an_odd_length_vector(self, shape):
@@ -682,12 +690,15 @@ def eigh_sizes(monkeypatch):
     return sizes
 
 
-def windows_with_spectrum(eigvals, seed):
-    """W = T J for T = U diag(eigvals) U^H, U random unitary: W J = T is Hermitian with spectrum eigvals."""
-    rng = np.random.default_rng(seed)
-    n = len(eigvals)
-    u = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
-    return ((u * eigvals) @ u.conj().T)[:, ::-1]
+def lags_with_spectrum(eigvals):
+    """A conjugate-symmetric lag vector whose Toeplitz matrix T has the spectrum ``eigvals``.
+
+    Lags 0..n-1 are r = ifft(eigvals), n = len(eigvals), and lags -1..-(n-1)
+    their conjugates.  For real ``eigvals`` r[n-m] = conj(r[m]), so T is the
+    circulant matrix of r, whose eigenvalues are fft(r) = eigvals.
+    """
+    r = np.fft.ifft(eigvals)
+    return np.concatenate([r[1:][::-1].conj(), r])
 
 
 def signed_roots(eigvals):
@@ -696,7 +707,7 @@ def signed_roots(eigvals):
 
 
 class TestTopEigenpairs:
-    """``_signal_subspace`` on a window matrix W: subspace iteration, and ``eigh`` where it falls back."""
+    """``_signal_subspace`` on a lag vector: subspace iteration, and ``eigh`` where it falls back."""
 
     @pytest.mark.parametrize("snr_db", [-7.0, -1.0, 5.0, 8.0])
     @pytest.mark.parametrize("n_sensors, truths", [
@@ -713,7 +724,7 @@ class TestTopEigenpairs:
         d = len(truths)
         want_vals, want_vecs = np.linalg.eigh(scaled_gram(w))
         sizes = eigh_sizes(monkeypatch)
-        vals, vecs = estimator._signal_subspace(w, d)
+        vals, vecs = estimator._signal_subspace(meas, d)
         assert w.shape[1] not in sizes, "the scene fell back to the full eigh"
         signal = want_vecs[:, -d:]
         err = np.linalg.norm(vecs @ vecs.conj().T - signal @ signal.conj().T)
@@ -726,20 +737,20 @@ class TestTopEigenpairs:
         if case == "rank-deficient":
             # exact cumulants of one source asked for two: rank 1 < D
             arr = SensorArray((0, 1, 2, 5, 8))
-            w, d = window_matrix(assemble_foeca(analytic_bank(arr, [10.0]), arr)), 2
+            values, d = assemble_foeca(analytic_bank(arr, [10.0]), arr), 2
         elif case == "predicted-past-cap":
             # R's eigenvalues decay by 3% a step: the D-th converges at
             # (0.97^9)^k, which the third iteration shows to be too slow
             # for the cap of 100 // 12 = 8 iterations
-            w, d = windows_with_spectrum(signed_roots(0.97 ** np.arange(100.0)), seed=3), 4
+            values, d = lags_with_spectrum(signed_roots(0.97 ** np.arange(100.0))), 4
         else:
             # a block of D + 8 = 25 columns is half of the 50 x 50 matrix
-            w, d = windows_with_spectrum(signed_roots(0.5 ** np.arange(50.0)), seed=4), 17
-        want_vals, want_vecs = fallback_eigenpairs(w, d)
+            values, d = lags_with_spectrum(signed_roots(0.5 ** np.arange(50.0))), 17
+        want_vals, want_vecs = fallback_eigenpairs(values, d)
         sizes = eigh_sizes(monkeypatch)
-        vals, vecs = estimator._signal_subspace(w, d)
+        vals, vecs = estimator._signal_subspace(values, d)
         # one projected (D + 8)-square eigh per iteration, then the full one
-        assert sizes == [d + 8] * iterations + [w.shape[1]]
+        assert sizes == [d + 8] * iterations + [values.size // 2 + 1]
         assert np.array_equal(vals, want_vals)
         assert np.array_equal(vecs, want_vecs)
 
@@ -752,11 +763,12 @@ class TestTopEigenpairs:
         # the D-th eigenvalue lies too close to the first one outside the
         # block to converge within the cap (4 iterations at both sizes)
         truths = tuple(np.linspace(-60.0, 60.0, n_sources))
-        w = window_matrix(fogna_measurement(n_sensors, truths, snr_db, n_snapshots, seed))
-        want_vals, want_vecs = fallback_eigenpairs(w, n_sources)
+        meas = fogna_measurement(n_sensors, truths, snr_db, n_snapshots, seed)
+        w = window_matrix(meas)
+        want_vals, want_vecs = fallback_eigenpairs(meas, n_sources)
         gram_vals, gram_vecs = np.linalg.eigh(scaled_gram(w))
         sizes = eigh_sizes(monkeypatch)
-        vals, vecs = estimator._signal_subspace(w, n_sources)
+        vals, vecs = estimator._signal_subspace(meas, n_sources)
         assert sizes == [n_sources + 8] * 3 + [w.shape[1]]
         assert np.array_equal(vals, want_vals)
         assert np.array_equal(vecs, want_vecs)
@@ -778,25 +790,27 @@ class TestTopEigenpairs:
 
     @pytest.mark.parametrize("power", [-900, -560, 560, 900])
     def test_power_of_two_scaling_is_exact(self, monkeypatch, power):
-        # W 2^-900 (near 1e-270) has a Gram product far below double
-        # precision's range and W 2^900 one far above it; W is scaled first,
-        # so the eigenpairs and the iterations are those of W itself
-        w = window_matrix(fogna_measurement(9, TWELVE_SOURCES, 5.0, 14_000, (500, 0)))
+        # values 2^-900 (near 1e-270) have a Gram product far below double
+        # precision's range and values 2^900 one far above it; the vector
+        # is scaled first, so the eigenpairs and the iterations are those
+        # of the vector itself
+        meas = fogna_measurement(9, TWELVE_SOURCES, 5.0, 14_000, (500, 0))
         sizes = eigh_sizes(monkeypatch)
-        want_vals, want_vecs = estimator._signal_subspace(w, 12)
+        want_vals, want_vecs = estimator._signal_subspace(meas, 12)
         iterations = list(sizes)
         sizes.clear()
-        vals, vecs = estimator._signal_subspace(w * 2.0 ** power, 12)
+        vals, vecs = estimator._signal_subspace(meas * 2.0 ** power, 12)
         assert sizes == iterations == [20] * len(iterations)
         assert np.array_equal(vals, want_vals)
         assert np.array_equal(vecs, want_vecs)
 
     def test_subnormal_covariance_matches_eigh(self, monkeypatch):
-        # W x 1e-315 is subnormal; its unscaled Gram product would be 0
-        w = window_matrix(fogna_measurement(9, TWELVE_SOURCES, 5.0, 14_000, (500, 0))) * 1e-315
+        # values x 1e-315 are subnormal; their unscaled Gram product would be 0
+        meas = fogna_measurement(9, TWELVE_SOURCES, 5.0, 14_000, (500, 0)) * 1e-315
+        w = window_matrix(meas)
         want_vals, want_vecs = np.linalg.eigh(scaled_gram(w))
         sizes = eigh_sizes(monkeypatch)
-        vals, vecs = estimator._signal_subspace(w, 12)
+        vals, vecs = estimator._signal_subspace(meas, 12)
         assert w.shape[1] not in sizes, "the scene fell back to the full eigh"
         signal = want_vecs[:, -12:]
         assert np.linalg.norm(vecs @ vecs.conj().T - signal @ signal.conj().T) <= 1e-12
@@ -807,10 +821,10 @@ class TestTopEigenpairs:
         sizes, fallbacks = eigh_sizes(monkeypatch), []
         for trial in range(3):
             for snr_db in (-7.0, -1.0, 5.0, 8.0):
-                w = window_matrix(fogna_measurement(9, TWELVE_SOURCES, snr_db, 14_000, (500, trial)))
+                meas = fogna_measurement(9, TWELVE_SOURCES, snr_db, 14_000, (500, trial))
                 sizes.clear()
-                estimator._signal_subspace(w, 12)
-                if w.shape[1] in sizes:
+                estimator._signal_subspace(meas, 12)
+                if meas.size // 2 + 1 in sizes:
                     fallbacks.append((trial, snr_db))
         assert fallbacks == []
 
@@ -987,8 +1001,7 @@ class TestSteeringGridCache:
         signal = None
         if n_sensors == 19:
             # a full eigh of the 2187-square Gram matrix would take most of Tier-1's time
-            windows = window_matrix(meas)
-            signal = iterated_signal_subspace(windows, len(truths))
-            assert projector_distance(signal, estimator._signal_subspace(windows, len(truths))[1]) <= 1e-12
+            signal = iterated_signal_subspace(window_matrix(meas), len(truths))
+            assert projector_distance(signal, estimator._signal_subspace(meas, len(truths))[1]) <= 1e-12
         assert_matches_oracle(est, explicit_grid_spectrum(meas, len(truths), est.grid_deg, signal),
                               len(truths), grid_step)

@@ -34,6 +34,10 @@ class TestSensorArray:
         with pytest.raises(ValueError):
             SensorArray((1, 2, 3))
 
+    def test_rejects_no_sensors(self):
+        with pytest.raises(ValueError, match="at least one sensor"):
+            SensorArray(())
+
     def test_aperture(self):
         assert SensorArray((0, 1, 5)).aperture == 5
 

@@ -68,6 +68,10 @@ class TestScene:
         with pytest.raises(ValueError):
             SourceScene((95.0,))
 
+    def test_rejects_no_sources(self):
+        with pytest.raises(ValueError, match="at least one source"):
+            SourceScene(())
+
     @pytest.mark.parametrize("seed", [-1, (3, -1), 1.5, "7"],
                              ids=["negative", "negative-entry", "float", "str"])
     def test_rejects_seed_the_generator_refuses(self, seed):
